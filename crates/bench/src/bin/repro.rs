@@ -36,10 +36,12 @@
 //! wall clocks, the quick E9 incast guard (with its per-controller
 //! FCT p99s), the quick E11 churn guard (with its undersized eviction
 //! count and correction p99), the quick E12 scale guard (with the SoA
-//! `dleft_bytes_per_station` figure), plus the fast-table micro
-//! medians. The committed `BENCH_PR5.json`/`BENCH_PR7.json`/
-//! `BENCH_PR9.json`/`BENCH_PR10.json` are such files; CI re-captures
-//! a quick one and gates it with the `bench-guard` subcommand:
+//! `dleft_bytes_per_station` figure), the engine event counts of the
+//! quick E9 incast and E12 runs (`e9_incast_quick_events`,
+//! `e12_quick_events` — deterministic, so gated tightly), plus the
+//! fast-table micro medians. The committed `BENCH_PR*.json` files are
+//! such files; CI re-captures a quick one and gates it with the
+//! `bench-guard` subcommand:
 //!
 //! ```text
 //! repro -- bench-guard --baseline BENCH_PR7.json --current ci.json \
@@ -678,6 +680,7 @@ fn main() {
         let incast_pattern = TrafficPattern::Hotspot { hot_receivers: incast_params.hot_receivers };
         let mut best_ms = f64::INFINITY;
         let mut fct_p99 = Vec::new();
+        let mut incast_events = 0;
         for _ in 0..3 {
             let started = Instant::now();
             let rows: Vec<_> = e9_congestion::CcMode::ALL
@@ -704,9 +707,14 @@ fn main() {
                     (format!("e9_incast_pfc_{}_p99_ms", r.cc), r.fct.percentile(99.0) as f64 / 1e6)
                 })
                 .collect();
+            incast_events = results[0].rows.iter().map(|r| r.events).sum::<u64>();
         }
         wall_ms.push(("e9_incast_quick_ms".into(), best_ms));
         wall_ms.extend(fct_p99);
+        // Deterministic counter: engine events of the same incast cells
+        // (both controllers). A transmit completion the engine
+        // schedules though nothing waits on it shows up here.
+        wall_ms.push(("e9_incast_quick_events".into(), incast_events as f64));
         // Third guard key since PR 9: a quick-geometry E11 churn run
         // (k=4, halved churn window, all three table regimes) — the
         // eviction/correction machinery this PR made observable. Its
@@ -764,16 +772,30 @@ fn main() {
                 e12_scale::verify_footprint(&result),
                 "quick E12 SoA footprint must undercut the AoS layout"
             );
-            scale_keys = vec![("dleft_bytes_per_station".to_string(), result.bytes_per_station())];
+            let single =
+                result.rows.iter().find(|r| r.shards == 1).expect("quick E12 runs 1 worker");
+            scale_keys = vec![
+                ("dleft_bytes_per_station".to_string(), result.bytes_per_station()),
+                // Deterministic counter: engine events of the
+                // single-threaded quick sweep point.
+                ("e12_quick_events".to_string(), single.events as f64),
+            ];
         }
         wall_ms.push(("e12_scale_quick_ms".into(), best_ms));
         wall_ms.extend(scale_keys);
         eprintln!("[repro] bench-json: running fast-table micro measurements...");
         let micro_ns: Vec<(String, f64)> =
             micro::measure_all().into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+        // The capture label is the file's name: `BENCH_PR<N>.json`
+        // captures carry `"pr": "PR<N>"`.
+        let label = std::path::Path::new(path)
+            .file_stem()
+            .and_then(|stem| stem.to_str())
+            .map_or("current", |stem| stem.trim_start_matches("BENCH_"));
         let json = format!(
-            "{{\n  \"schema\": \"arppath-bench-trajectory/v1\",\n  \"pr\": \"PR10\",\n  \
+            "{{\n  \"schema\": \"arppath-bench-trajectory/v1\",\n  \"pr\": \"{}\",\n  \
              \"quick\": {},\n  \"wall_ms\": {{\n{}\n  }},\n  \"micro_ns\": {{\n{}\n  }}\n}}\n",
+            label,
             quick,
             json_section(&wall_ms),
             json_section(&micro_ns),

@@ -95,6 +95,10 @@ pub struct E12Row {
     pub delivered: u64,
     /// Datagrams sent fabric-wide.
     pub sent: u64,
+    /// Engine events processed (the sharded engine's count excludes
+    /// its boundary-stub bookkeeping, so every row simulates the same
+    /// number).
+    pub events: u64,
 }
 
 /// Full E12 output.
@@ -174,7 +178,7 @@ pub fn run(params: &E12Params) -> E12Result {
         hosts = ft.host_capacity(params.hosts_per_edge);
         let shards = requested.min(ft.k);
         let started = Instant::now();
-        let (sync_rounds, sent, delivered, tables) = if shards > 1 {
+        let (sync_rounds, sent, delivered, tables, events) = if shards > 1 {
             let partition = Partition::rack_major(&ft, params.hosts_per_edge, hosts, shards);
             let mut topo = t.build_sharded_with(&partition, false, params.use_matrix);
             topo.net.run_until(deadline);
@@ -185,7 +189,7 @@ pub fn run(params: &E12Params) -> E12Result {
                 delivered += host.rx_datagrams;
             }
             let tables = table_footprint(topo.bridge_nodes.len(), |ix| topo.arppath(ix));
-            (topo.net.sync_rounds(), sent, delivered, tables)
+            (topo.net.sync_rounds(), sent, delivered, tables, topo.net.stats().events)
         } else {
             let mut built = t.build();
             built.net.run_until(deadline);
@@ -196,7 +200,7 @@ pub fn run(params: &E12Params) -> E12Result {
                 delivered += host.rx_datagrams;
             }
             let tables = table_footprint(built.bridge_nodes.len(), |ix| built.arppath(ix));
-            (0, sent, delivered, tables)
+            (0, sent, delivered, tables, built.net.stats().events)
         };
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         footprint.get_or_insert(tables);
@@ -207,6 +211,7 @@ pub fn run(params: &E12Params) -> E12Result {
             rounds_per_sim_ms: sync_rounds as f64 / (deadline.0 as f64 / 1e6),
             delivered,
             sent,
+            events,
         });
     }
     let (bridges, table_bytes, table_bytes_aos) = footprint.expect("shard_counts must be nonempty");

@@ -196,6 +196,8 @@ pub struct E9Row {
     pub total_cores: usize,
     /// Jain fairness of per-core-link byte loads.
     pub jain_core: f64,
+    /// Engine events processed.
+    pub events: u64,
 }
 
 /// Full E9 output for one fabric size: `patterns × modes` rows.
@@ -489,6 +491,7 @@ pub fn run_cell(params: &E9Params, mode: QueueMode, cc: CcMode, pattern: Traffic
         distinct_cores: diversity.distinct_items(),
         total_cores: ft.core.len(),
         jain_core: jain_index(&core_loads),
+        events: stats.events,
     }
 }
 

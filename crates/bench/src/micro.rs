@@ -109,7 +109,7 @@ pub fn calq_churn(rounds: u64) -> u64 {
         let Some(t) = q.drain_head(&mut batch) else { break };
         let next = t + SimDuration::nanos(400 + ((state >> 40) & 1023));
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        for item in batch.drain(..) {
+        for (_, item) in batch.drain(..) {
             acc = acc.wrapping_add(t.as_nanos() ^ item);
             q.push(next, seq % CHURN_COHORT, seq, item);
             seq += 1;

@@ -144,9 +144,7 @@ impl<L: SwitchLogic> NetFpgaSwitch<L> {
     where
         F: FnOnce(&mut L, &mut LogicEnv) -> ProcessingClass,
     {
-        let ports_up: Vec<bool> =
-            (0..self.logic.num_ports()).map(|p| ctx.is_port_up(PortNo(p))).collect();
-        let mut env = LogicEnv::new(ctx.now(), &ports_up, self.logic.num_ports());
+        let mut env = LogicEnv::new(ctx.now(), ctx.ports_up(), self.logic.num_ports());
         let class = f(&mut self.logic, &mut env);
         for (after, token) in env.timers.drain(..) {
             debug_assert_eq!(token.0 & WRAPPER_TOKEN_BIT, 0, "logic token collides with wrapper");

@@ -3,11 +3,12 @@
 //! heap.
 //!
 //! The discrete-event hot path is dominated by queue traffic: every
-//! frame crossing every link is two push/pop pairs (`TxDone`,
-//! `Deliver`), and under load those events cluster within microseconds
-//! of the present (serialization is hundreds of nanoseconds). A binary
-//! heap pays O(log n) pointer-hopping comparisons per operation over
-//! the whole pending set; the calendar queue exploits the clustering:
+//! frame crossing every link is a push/pop pair (its `Deliver`, plus a
+//! `TxDone` when a queued frame waits on it), and under load those
+//! events cluster within microseconds of the present (serialization is
+//! hundreds of nanoseconds). A binary heap pays O(log n)
+//! pointer-hopping comparisons per operation over the whole pending
+//! set; the calendar queue exploits the clustering:
 //!
 //! * events within the **ring horizon** ([`BUCKET_COUNT`] ×
 //!   `2^`[`BUCKET_SHIFT`] ns ≈ 33 µs of future) go into fixed-width
@@ -34,7 +35,10 @@
 //! events sharing a timestamp land in one ring bucket and/or at the
 //! annex top, so [`drain_head`](CalendarQueue::drain_head) reassembles
 //! the cohort in `(key, seq)` order, sorting only when a cohort
-//! actually carries more than one event.
+//! actually carries more than one event. A cohort that shares its
+//! bucket with other instants — on a dense flood, ~100 same-instant
+//! arrivals beside later ones — leaves it in one linear extraction
+//! pass, never one shifting removal per member.
 //!
 //! The ring-window invariant that makes bucket masking sound: the
 //! cursor is the bucket of the last popped timestamp and only moves
@@ -314,11 +318,11 @@ impl<T> CalendarQueue<T> {
         Some((entry.time, entry.key, entry.seq, entry.item))
     }
 
-    /// Remove every event at the head timestamp, appending their items
-    /// to `out` in `(key, seq)` order, and return that timestamp. One
-    /// bucket visit and/or a run of annex pops — the engine's
-    /// same-timestamp batch drain.
-    pub fn drain_head(&mut self, out: &mut Vec<T>) -> Option<SimTime> {
+    /// Remove every event at the head timestamp, appending them to `out`
+    /// as `(key, item)` pairs in `(key, seq)` order, and return that
+    /// timestamp. One bucket visit and/or a run of annex pops — the
+    /// engine's same-timestamp batch drain.
+    pub fn drain_head<E: Extend<(u64, T)>>(&mut self, out: &mut E) -> Option<SimTime> {
         let (time, _, _) = self.head?;
         let annex_has = self.annex.peek().is_some_and(|Reverse(far)| far.0.time == time);
         // The cohort's ring bucket, if the masked slot actually carries
@@ -332,23 +336,7 @@ impl<T> CalendarQueue<T> {
                 // A cohort straddling the horizon (part pushed before
                 // the cursor reached it, part after): gather both
                 // sides, sort by (key, seq).
-                let mut cohort = std::mem::take(&mut self.cohort);
-                debug_assert!(cohort.is_empty());
-                let bucket = &mut self.buckets[idx];
-                let mut i = 0;
-                while i < bucket.len() {
-                    if bucket[i].time == time {
-                        let e = bucket.remove(i);
-                        cohort.push((e.key, e.seq, e.item));
-                    } else {
-                        i += 1;
-                    }
-                }
-                self.ring_len -= cohort.len();
-                self.len -= cohort.len();
-                if bucket.is_empty() {
-                    self.occupied.clear(idx);
-                }
+                let mut cohort = self.extract_ring_cohort(idx, time);
                 while let Some(Reverse(far)) = self.annex.peek() {
                     if far.0.time != time {
                         break;
@@ -357,9 +345,7 @@ impl<T> CalendarQueue<T> {
                     cohort.push((e.key, e.seq, e.item));
                     self.len -= 1;
                 }
-                cohort.sort_unstable_by_key(|&(key, seq, _)| (key, seq));
-                out.extend(cohort.drain(..).map(|(_, _, item)| item));
-                self.cohort = cohort;
+                self.emit_sorted(cohort, out);
             }
             (false, false) => unreachable!("cached head in neither structure"),
         }
@@ -369,7 +355,7 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Drain the `time` cohort out of ring bucket `idx`.
-    fn drain_ring_cohort(&mut self, idx: usize, time: SimTime, out: &mut Vec<T>) {
+    fn drain_ring_cohort<E: Extend<(u64, T)>>(&mut self, idx: usize, time: SimTime, out: &mut E) {
         let bucket = &mut self.buckets[idx];
         // Fast path for the overwhelmingly common case: the bucket
         // holds exactly the head cohort, already in (key, seq) order —
@@ -383,42 +369,49 @@ impl<T> CalendarQueue<T> {
         if uniform {
             self.ring_len -= bucket.len();
             self.len -= bucket.len();
-            out.extend(bucket.drain(..).map(|e| e.item));
+            out.extend(bucket.drain(..).map(|e| (e.key, e.item)));
             self.occupied.clear(idx);
             return;
         }
         // Mixed bucket: extract matches, sort the cohort into the
         // canonical (key, seq) order, keep the rest.
+        let cohort = self.extract_ring_cohort(idx, time);
+        self.emit_sorted(cohort, out);
+    }
+
+    /// Move every `time` entry of ring bucket `idx` into the reused
+    /// cohort scratch in one linear pass — the rest of the bucket keeps
+    /// its order — and return the scratch for sorting.
+    fn extract_ring_cohort(&mut self, idx: usize, time: SimTime) -> Vec<(u64, u64, T)> {
         let mut cohort = std::mem::take(&mut self.cohort);
         debug_assert!(cohort.is_empty());
-        let mut i = 0;
-        while i < bucket.len() {
-            if bucket[i].time == time {
-                let e = bucket.remove(i);
-                cohort.push((e.key, e.seq, e.item));
-            } else {
-                i += 1;
-            }
-        }
+        let bucket = &mut self.buckets[idx];
+        cohort.extend(bucket.extract_if(.., |e| e.time == time).map(|e| (e.key, e.seq, e.item)));
         self.ring_len -= cohort.len();
         self.len -= cohort.len();
         if bucket.is_empty() {
             self.occupied.clear(idx);
         }
+        cohort
+    }
+
+    /// Sort a gathered cohort into `(key, seq)` order, append it to
+    /// `out`, and hand the scratch buffer back for reuse.
+    fn emit_sorted<E: Extend<(u64, T)>>(&mut self, mut cohort: Vec<(u64, u64, T)>, out: &mut E) {
         cohort.sort_unstable_by_key(|&(key, seq, _)| (key, seq));
-        out.extend(cohort.drain(..).map(|(_, _, item)| item));
+        out.extend(cohort.drain(..).map(|(key, _, item)| (key, item)));
         self.cohort = cohort;
     }
 
     /// Drain the `time` cohort off the top of the annex heap (pops
     /// arrive in `(time, key, seq)` order — already sorted).
-    fn drain_annex_cohort(&mut self, time: SimTime, out: &mut Vec<T>) {
+    fn drain_annex_cohort<E: Extend<(u64, T)>>(&mut self, time: SimTime, out: &mut E) {
         while let Some(Reverse(far)) = self.annex.peek() {
             if far.0.time != time {
                 break;
             }
             let Some(Reverse(Far(entry))) = self.annex.pop() else { unreachable!() };
-            out.push(entry.item);
+            out.extend(std::iter::once((entry.key, entry.item)));
             self.len -= 1;
         }
     }
@@ -431,6 +424,14 @@ mod tests {
 
     fn t(ns: u64) -> SimTime {
         SimTime(ns)
+    }
+
+    /// `drain_head` with the keys stripped.
+    fn drain_items<T>(q: &mut CalendarQueue<T>, out: &mut Vec<T>) -> Option<SimTime> {
+        let mut pairs = Vec::new();
+        let time = q.drain_head(&mut pairs);
+        out.extend(pairs.into_iter().map(|(_, item)| item));
+        time
     }
 
     #[test]
@@ -484,14 +485,14 @@ mod tests {
         q.push(t(101), 0, 2, 'x'); // same bucket, later time
         q.push(t(100), 0, 3, 'c');
         let mut out = Vec::new();
-        assert_eq!(q.drain_head(&mut out), Some(t(100)));
+        assert_eq!(drain_items(&mut q, &mut out), Some(t(100)));
         assert_eq!(out, vec!['a', 'b', 'c']);
         assert_eq!(q.head_time(), Some(t(101)));
         out.clear();
-        assert_eq!(q.drain_head(&mut out), Some(t(101)));
+        assert_eq!(drain_items(&mut q, &mut out), Some(t(101)));
         assert_eq!(out, vec!['x']);
         assert!(q.is_empty());
-        assert_eq!(q.drain_head(&mut out), None);
+        assert_eq!(drain_items(&mut q, &mut out), None);
     }
 
     #[test]
@@ -504,10 +505,10 @@ mod tests {
         q.push(t(110), 0, 2, "later");
         q.push(t(100), 3, 3, "k3");
         let mut out = Vec::new();
-        assert_eq!(q.drain_head(&mut out), Some(t(100)));
+        assert_eq!(drain_items(&mut q, &mut out), Some(t(100)));
         assert_eq!(out, vec!["k1", "k3", "k5"]);
         out.clear();
-        assert_eq!(q.drain_head(&mut out), Some(t(110)));
+        assert_eq!(drain_items(&mut q, &mut out), Some(t(110)));
         assert_eq!(out, vec!["later"]);
     }
 
@@ -540,7 +541,7 @@ mod tests {
         q.push(t(900), 0, 4, 4);
         assert_eq!(q.head_time(), Some(t(772)));
         let mut out = Vec::new();
-        assert_eq!(q.drain_head(&mut out), Some(t(772)));
+        assert_eq!(drain_items(&mut q, &mut out), Some(t(772)));
         assert_eq!(out, vec![2, 3]);
         assert_eq!(q.pop_min().map(|(_, _, s, _)| s), Some(4));
         assert_eq!(q.pop_min().map(|(_, _, s, _)| s), Some(0));
@@ -565,7 +566,7 @@ mod tests {
         q.push(t(40_000), 9, 2, 2);
         q.push(t(40_000), 2, 3, 3);
         let mut out = Vec::new();
-        assert_eq!(q.drain_head(&mut out), Some(t(40_000)));
+        assert_eq!(drain_items(&mut q, &mut out), Some(t(40_000)));
         assert_eq!(out, vec![3, 0, 2]);
         assert!(q.is_empty());
     }
@@ -641,6 +642,47 @@ mod tests {
         }
 
         #[test]
+        fn large_cohorts_drain_in_heap_order(
+            cohorts in proptest::collection::vec((50u64..=200, 0u64..64, 0u64..1_000), 2..6),
+            stride in 3u64..11,
+        ) {
+            // The shape of a dense flood instant: several same-instant
+            // cohorts of 50–200 events share one 64 ns bucket, each
+            // pushed in anti-key order, with pushes at the bucket's
+            // other instants interleaved every `stride` events. Every
+            // batch `drain_head` returns must come out in exactly the
+            // (time, key, seq) order of a `BinaryHeap`.
+            let mut cal = CalendarQueue::new();
+            let mut heap: BinaryHeap<Reverse<(SimTime, u64, u64)>> = BinaryHeap::new();
+            let mut seq = 0u64;
+            let base = 100 << BUCKET_SHIFT;
+            let mut push = |time: SimTime, key: u64| {
+                cal.push(time, key, seq, seq);
+                heap.push(Reverse((time, key, seq)));
+                seq += 1;
+            };
+            for &(size, offset, key_base) in &cohorts {
+                for i in 0..size {
+                    push(t(base + offset), key_base + size - i);
+                    if i % stride == 0 {
+                        push(t(base + (offset + 1 + i) % 64), key_base + i);
+                    }
+                }
+            }
+            prop_assert_eq!(CalendarQueue::<u64>::abs_bucket(t(base + 63)), base >> BUCKET_SHIFT);
+            let mut batch = Vec::new();
+            while let Some(time) = cal.drain_head(&mut batch) {
+                prop_assert!(!batch.is_empty());
+                for (key, item) in batch.drain(..) {
+                    let Reverse(want) = heap.pop().expect("heap drained early");
+                    prop_assert_eq!((time, key, item), want);
+                }
+            }
+            prop_assert!(heap.is_empty());
+            prop_assert!(cal.is_empty());
+        }
+
+        #[test]
         fn drain_head_equals_repeated_pops(
             ops in proptest::collection::vec((0u8..2, 1u64..100_000, 0u8..3, 0u64..3), 1..64),
         ) {
@@ -673,9 +715,9 @@ mod tests {
             }
             let mut batch = Vec::new();
             while let Some(time) = a.drain_head(&mut batch) {
-                for item in batch.drain(..) {
-                    let (bt, _, bs, bi) = b.pop_min().expect("b drained early");
-                    prop_assert_eq!((bt, bs), (time, item));
+                for (key, item) in batch.drain(..) {
+                    let (bt, bk, bs, bi) = b.pop_min().expect("b drained early");
+                    prop_assert_eq!((bt, bk, bs), (time, key, item));
                     prop_assert_eq!(bi, item);
                 }
             }

@@ -82,6 +82,13 @@ impl<'a> Ctx<'a> {
         self.ports_up.len()
     }
 
+    /// Carrier state of every port, indexed by port number (see
+    /// [`Ctx::is_port_up`]). Borrowed from the engine for the whole
+    /// callback, so adapters can hand it on without copying.
+    pub fn ports_up(&self) -> &'a [bool] {
+        self.ports_up
+    }
+
     /// Whether `port` currently has link (carrier). Ports that were
     /// never cabled report `false`, exactly like an SFP cage with no
     /// module.
@@ -160,6 +167,7 @@ mod tests {
         assert!(!ctx.is_port_up(PortNo(1)));
         assert!(!ctx.is_port_up(PortNo(7)), "uncabled ports read down");
         assert_eq!(ctx.num_ports(), 2);
+        assert_eq!(ctx.ports_up(), &ports);
         assert_eq!(ctx.now(), SimTime(5));
         assert_eq!(ctx.node(), NodeId(1));
     }

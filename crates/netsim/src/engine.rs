@@ -40,21 +40,43 @@
 //!
 //! # Event lifecycle
 //!
-//! One frame crossing one link passes through the engine as:
+//! One frame crossing one link is **one** event:
 //!
 //! ```text
 //! device callback ──Command::Send──▶ handle_send
-//!       ▲                               │ (queue or start serializing)
-//!       │                               ▼
-//!   on_frame ◀── Deliver event ◀── TxDone event
-//!              (+propagation)      (+serialization)
+//!       ▲                               │ transmitter free: start_tx
+//!       │                               ▼ (busy or paused: queue)
+//!   on_frame ◀──────── Deliver event ◀── start_tx
+//!              (at start + serialization + propagation)
 //! ```
 //!
-//! Every arrow is an event push at a computed future instant; nothing
-//! happens "between" events, which is what makes runs reproducible and
-//! what lets the sharded engine ([`crate::sharded`]) cut the graph at
-//! link boundaries: a link's delivery time is fully determined the
-//! moment its `TxDone` fires.
+//! A frame's arrival time is fixed the moment it starts serializing, so
+//! `start_tx` schedules its `Deliver` at once and records when the
+//! transmitter frees up (`busy_until`). The end of serialization is an
+//! event of its own — a `TxDone` — only when something must happen
+//! then: a frame already waits in the queue (or a PFC pause is
+//! asserted) when this one starts, or a frame is enqueued behind it
+//! while it serializes. The `TxDone` pulls the next queued frame into
+//! the transmitter and releases a pause whose queue drained. On the
+//! flood-dominated fabrics, where queues are almost always empty, a
+//! hop therefore costs one event instead of two.
+//!
+//! Skipping a completion changes no outcome. A transmitter whose
+//! unscheduled completion falls exactly on the current instant reads
+//! busy up to the point where that `TxDone` would have run in the
+//! canonical order below (see `Network::tx_busy`), and a completion that
+//! becomes needed mid-batch is slotted into the running batch at that
+//! same point. Arrivals over zero-propagation links, which land at
+//! their serialization end, keep the slot after everything else of
+//! their instant. The one observable difference: a frame a cable cut
+//! aborts mid-serialization is counted in `drops_link_down` and traced
+//! as `DropLinkDown` when its `Deliver` fires, not at serialization
+//! end (its `DirStats` are corrected at the cut itself).
+//!
+//! Nothing happens "between" events, which is what makes runs
+//! reproducible and what lets the sharded engine ([`crate::sharded`])
+//! cut the graph at link boundaries: a frame's delivery time is fully
+//! determined the moment it starts serializing.
 //!
 //! # Example
 //!
@@ -108,17 +130,36 @@
 
 use crate::calq::CalendarQueue;
 use crate::device::{Command, Ctx, Device, NodeId, PortNo, TimerToken};
-use crate::link::{Admission, Dir, Endpoint, Link, LinkId, LinkParams, PauseWatchdog};
+use crate::link::{
+    Admission, Completion, Dir, DirState, Endpoint, Link, LinkId, LinkParams, PauseWatchdog,
+};
 use crate::pfc::{self, PfcOp};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, Tracer};
 use arppath_wire::EthernetFrame;
+use std::collections::VecDeque;
+
+/// Order-key tier of transmit completions (see `Network::order_key`).
+const TX_DONE_TIER: u64 = 1 << 60;
+/// Order-key tier of arrivals over zero-propagation links: they land at
+/// their serialization end and sort after everything else of that
+/// instant (see `Network::order_key`).
+const LATE_ARRIVAL_TIER: u64 = 5 << 60;
+
+/// Whether a busy transmitter's queued frames (if any) will be pulled:
+/// every path that queues behind a serializing frame schedules its
+/// completion.
+fn waits_on_completion(state: &DirState) -> bool {
+    state.queue.is_empty() || state.completion == Completion::Scheduled
+}
 
 /// What happens at an instant.
 #[derive(Debug)]
 enum EventKind {
-    /// The head frame of `link`/`dir` finished serializing.
-    TxDone { link: LinkId, dir: Dir, epoch: u64, frame: EthernetFrame },
+    /// The frame serializing on `link`/`dir` finished and a queued
+    /// frame (or an asserted pause) waits on it. Completions nothing
+    /// waits on are never scheduled.
+    TxDone { link: LinkId, dir: Dir, epoch: u64 },
     /// The last bit of `frame` reached the far end of `link`/`dir`.
     Deliver { link: LinkId, dir: Dir, epoch: u64, frame: EthernetFrame },
     /// A device timer fires.
@@ -277,10 +318,13 @@ impl NetworkBuilder {
             queue: CalendarQueue::new(),
             now: SimTime::ZERO,
             seq: 0,
+            tie_time: SimTime::ZERO,
+            tie_key: 0,
+            in_batch: false,
             stats: NetworkStats::default(),
             tracer: self.tracer,
             scratch: Vec::new(),
-            batch: Vec::new(),
+            batch: VecDeque::new(),
         };
         for i in 0..n {
             net.dispatch(NodeId(i), |dev, ctx| dev.on_start(ctx));
@@ -304,13 +348,23 @@ pub struct Network {
     queue: CalendarQueue<EventKind>,
     now: SimTime,
     seq: u64,
+    /// The instant `tie_key` describes.
+    tie_time: SimTime,
+    /// Largest order key processed at `tie_time`; `u64::MAX` once a
+    /// whole batch at that instant has run. An unscheduled transmit
+    /// completion at `tie_time` counts as done exactly when its key is
+    /// at most this (see `Network::tx_busy`).
+    tie_key: u64,
+    /// True while `step_batch` works through `batch`.
+    in_batch: bool,
     stats: NetworkStats,
     tracer: Option<Box<dyn Tracer>>,
     /// Reused command buffer lent to device callbacks (flood fan-out
     /// writes N send commands here without allocating after warm-up).
     scratch: Vec<Command>,
-    /// Reused buffer holding the events of the batch being processed.
-    batch: Vec<EventKind>,
+    /// Reused buffer holding the rest of the batch being processed, as
+    /// `(order key, event)` in canonical order.
+    batch: VecDeque<(u64, EventKind)>,
 }
 
 impl Network {
@@ -459,12 +513,14 @@ impl Network {
     /// pending there pops immediately here, but lands in a follow-up
     /// batch under [`Network::step_batch`]. That requires a zero-delay
     /// event colliding with a pending same-instant cohort — none of
-    /// the repository's scenarios produce one (propagation and
-    /// serialization are nonzero), and the equivalence suite holds.
+    /// the repository's scenarios produce one (frames are scheduled
+    /// when they start serializing, which takes nonzero time), and the
+    /// equivalence suite holds.
     pub fn step(&mut self) -> Option<SimTime> {
-        let (time, _key, _seq, kind) = self.queue.pop_min()?;
+        let (time, key, _seq, kind) = self.queue.pop_min()?;
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
+        self.note_key(key);
         self.stats.events += 1;
         self.process(kind);
         Some(self.now)
@@ -478,7 +534,10 @@ impl Network {
     /// drains them as a follow-up batch at the same time, which is
     /// exactly the order single-stepping would visit, since their
     /// insertion sequence numbers are higher than everything already
-    /// pending.
+    /// pending. The exception is a transmit completion due at this
+    /// instant that becomes needed mid-batch: had every completion been
+    /// scheduled it would have been drained with the cohort, so it
+    /// joins the running batch at its canonical slot.
     pub fn step_batch(&mut self, bound: SimTime) -> bool {
         let Some(time) = self.queue.head_time() else { return false };
         if time > bound {
@@ -488,16 +547,20 @@ impl Network {
         // One calendar-bucket pass moves the whole same-instant run out
         // of the queue before touching any device, into a buffer reused
         // across batches, in canonical (key, seq) order.
-        let mut batch = std::mem::take(&mut self.batch);
-        debug_assert!(batch.is_empty());
-        let drained = self.queue.drain_head(&mut batch);
+        debug_assert!(self.batch.is_empty());
+        let drained = self.queue.drain_head(&mut self.batch);
         debug_assert_eq!(drained, Some(time));
         self.now = time;
-        self.stats.events += batch.len() as u64;
-        for kind in batch.drain(..) {
+        self.in_batch = true;
+        while let Some((key, kind)) = self.batch.pop_front() {
+            self.note_key(key);
+            self.stats.events += 1;
             self.process(kind);
         }
-        self.batch = batch;
+        self.in_batch = false;
+        // Every completion pending at this instant when the batch was
+        // drained ran inside it.
+        self.tie_key = u64::MAX;
         true
     }
 
@@ -506,9 +569,7 @@ impl Network {
     /// Apply one event's effect at the already-advanced clock.
     fn process(&mut self, kind: EventKind) {
         match kind {
-            EventKind::TxDone { link, dir, epoch, frame } => {
-                self.on_tx_done(link, dir, epoch, frame)
-            }
+            EventKind::TxDone { link, dir, epoch } => self.on_tx_done(link, dir, epoch),
             EventKind::Deliver { link, dir, epoch, frame } => {
                 self.on_deliver(link, dir, epoch, frame)
             }
@@ -551,7 +612,9 @@ impl Network {
     /// identity — which wire a frame travels, which device a timer
     /// belongs to. Within one instant, frame **arrivals** process first
     /// (in wire order), then transmit completions, then timers, then
-    /// admin events and watchdogs. The identity components come from
+    /// admin events and watchdogs, then arrivals over zero-propagation
+    /// links — the slot such an arrival took when a completion event
+    /// scheduled it, one batch later. The identity components come from
     /// [`Network::set_link_order_keys`] / [`Network::set_node_order_key`]
     /// (defaulting to local ids), so a sharded build that maps them to
     /// global ids orders every coincidence exactly like the
@@ -560,22 +623,27 @@ impl Network {
     /// direction or one device, where both engines agree on it.
     fn order_key(&self, kind: &EventKind) -> u64 {
         const TIER: u32 = 60;
-        let wire = |link: &LinkId, dir: Dir| self.link_order_keys[link.0][dir.index()];
         match kind {
-            EventKind::Deliver { link, dir, .. } => wire(link, *dir),
+            EventKind::Deliver { link, dir, .. } => {
+                if self.links[link.0].params.propagation == SimDuration::ZERO {
+                    LATE_ARRIVAL_TIER | self.wire(*link, *dir)
+                } else {
+                    self.wire(*link, *dir)
+                }
+            }
             EventKind::Inject { node, port, .. } => {
                 match self.port_table[node.0].get(port.0).copied().flatten() {
                     // An injected frame is an arrival travelling *into*
                     // the port, i.e. opposite the port's send direction.
-                    Some((link, dir)) => wire(&link, dir.flip()),
+                    Some((link, dir)) => self.wire(link, dir.flip()),
                     // Uncabled test-hook ingress: after every real wire.
                     None => (1 << (TIER - 1)) | ((node.0 as u64) << 16) | port.0 as u64,
                 }
             }
-            EventKind::TxDone { link, dir, .. } => (1 << TIER) | wire(link, *dir),
+            EventKind::TxDone { link, dir, .. } => TX_DONE_TIER | self.wire(*link, *dir),
             EventKind::Timer { node, .. } => (2 << TIER) | self.node_order_keys[node.0],
             EventKind::LinkAdmin { link, .. } => (3 << TIER) | self.link_order_keys[link.0][0],
-            EventKind::Watchdog { link, dir, .. } => (4 << TIER) | wire(link, *dir),
+            EventKind::Watchdog { link, dir, .. } => (4 << TIER) | self.wire(*link, *dir),
         }
     }
 
@@ -584,6 +652,68 @@ impl Network {
         self.seq += 1;
         let key = self.order_key(&kind);
         self.queue.push(time, key, seq, kind);
+    }
+
+    /// Record that the event with order key `key` runs at `self.now`.
+    fn note_key(&mut self, key: u64) {
+        if self.tie_time == self.now {
+            self.tie_key = self.tie_key.max(key);
+        } else {
+            self.tie_time = self.now;
+            self.tie_key = key;
+        }
+    }
+
+    /// Whether `link`/`dir`'s transmitter is serializing a frame at
+    /// `self.now`.
+    ///
+    /// An unscheduled completion at exactly `now` is the one subtle
+    /// case: the transmitter must read busy until the point where its
+    /// `TxDone` would have run, had every completion been an event —
+    /// the same-instant position `(1 << 60) | wire` in the canonical
+    /// order. Under [`Network::step`] that is the key comparison alone;
+    /// under [`Network::step_batch`] it also means "still in the first
+    /// batch at this instant", since the completion would have been
+    /// drained (and run) with it. `tie_key` encodes both.
+    fn tx_busy(&self, link: LinkId, dir: Dir) -> bool {
+        let state = &self.links[link.0].dirs[dir.index()];
+        match state.completion {
+            Completion::Idle => false,
+            Completion::Scheduled => true,
+            Completion::Unscheduled => {
+                self.now < state.busy_until
+                    || (self.now == state.busy_until
+                        && !(self.tie_time == self.now
+                            && self.tie_key >= TX_DONE_TIER | self.wire(link, dir)))
+            }
+        }
+    }
+
+    fn wire(&self, link: LinkId, dir: Dir) -> u64 {
+        self.link_order_keys[link.0][dir.index()]
+    }
+
+    /// Make the serializing frame's end an event, so it pulls the next
+    /// queued frame. A completion due at this very instant joins the
+    /// running batch at its canonical position — where it would have sat
+    /// had it been scheduled all along — rather than trailing the batch.
+    fn schedule_completion(&mut self, link_id: LinkId, dir: Dir) {
+        let link = &mut self.links[link_id.0];
+        let epoch = link.epoch;
+        let state = &mut link.dirs[dir.index()];
+        if state.completion != Completion::Unscheduled {
+            return;
+        }
+        state.completion = Completion::Scheduled;
+        let at = state.busy_until;
+        let kind = EventKind::TxDone { link: link_id, dir, epoch };
+        if at == self.now && self.in_batch {
+            let key = TX_DONE_TIER | self.wire(link_id, dir);
+            let pos = self.batch.partition_point(|&(k, _)| k < key);
+            self.batch.insert(pos, (key, kind));
+        } else {
+            self.push_at(at, kind);
+        }
     }
 
     fn trace(&mut self, event: TraceEvent<'_>) {
@@ -624,36 +754,41 @@ impl Network {
             self.trace(TraceEvent::DropNoCable { node, port });
             return;
         };
-        let link = &mut self.links[link_id.0];
-        if !link.up {
+        if !self.links[link_id.0].up {
             self.stats.drops_link_down += 1;
-            link.dirs[dir.index()].stats.dropped_link_down += 1;
+            self.links[link_id.0].dirs[dir.index()].stats.dropped_link_down += 1;
             self.trace(TraceEvent::DropLinkDown { link: link_id, frame: &frame });
             return;
         }
+        let busy = self.tx_busy(link_id, dir);
+        let link = &mut self.links[link_id.0];
         let sender = link.sender(dir);
         let state = &mut link.dirs[dir.index()];
-        if state.transmitting || state.paused {
-            match state.queue.try_enqueue(frame) {
-                Admission::Dropped(frame) => {
-                    self.stats.drops_queue_full += 1;
-                    state.stats.dropped_queue_full += 1;
-                    self.trace(TraceEvent::DropQueueFull { link: link_id, dir, frame: &frame });
+        if !busy && !state.paused {
+            self.start_tx(link_id, dir, frame);
+            return;
+        }
+        match state.queue.try_enqueue(frame) {
+            Admission::Dropped(frame) => {
+                self.stats.drops_queue_full += 1;
+                state.stats.dropped_queue_full += 1;
+                self.trace(TraceEvent::DropQueueFull { link: link_id, dir, frame: &frame });
+            }
+            Admission::Queued => {
+                let depth = state.queue.bytes() as u64;
+                state.stats.peak_queue_bytes = state.stats.peak_queue_bytes.max(depth);
+                // PFC: crossing the pause threshold asserts pause
+                // toward every device feeding this queue — i.e. out
+                // of all the congested device's *other* ports.
+                let assert_pause = !state.pause_asserted && state.queue.above_pause();
+                state.pause_asserted |= assert_pause;
+                if busy {
+                    self.schedule_completion(link_id, dir);
                 }
-                Admission::Queued => {
-                    let depth = state.queue.bytes() as u64;
-                    state.stats.peak_queue_bytes = state.stats.peak_queue_bytes.max(depth);
-                    // PFC: crossing the pause threshold asserts pause
-                    // toward every device feeding this queue — i.e. out
-                    // of all the congested device's *other* ports.
-                    if !state.pause_asserted && state.queue.above_pause() {
-                        state.pause_asserted = true;
-                        self.emit_pfc(sender, PfcOp::Pause);
-                    }
+                if assert_pause {
+                    self.emit_pfc(sender, PfcOp::Pause);
                 }
             }
-        } else {
-            self.start_tx(link_id, dir, frame);
         }
     }
 
@@ -683,6 +818,7 @@ impl Network {
             return;
         };
         let now = self.now;
+        let busy = self.tx_busy(link_id, dir);
         let link = &mut self.links[link_id.0];
         let watchdog = link.params.watchdog;
         let state = &mut link.dirs[dir.index()];
@@ -713,7 +849,10 @@ impl Network {
                         state.stats.paused_for =
                             state.stats.paused_for + SimDuration::nanos(now.0 - started.0);
                     }
-                    if !state.transmitting {
+                    // A busy transmitter with frames queued already has its
+                    // completion scheduled: that `TxDone` pulls the next one.
+                    debug_assert!(!busy || waits_on_completion(state));
+                    if !busy {
                         if let Some(next) = state.queue.pop() {
                             self.start_tx(link_id, dir, next);
                         }
@@ -735,6 +874,7 @@ impl Network {
     /// byte-identical.
     fn on_watchdog(&mut self, link_id: LinkId, dir: Dir, gen: u64) {
         let now = self.now;
+        let busy = self.tx_busy(link_id, dir);
         let link = &mut self.links[link_id.0];
         if !link.up {
             return; // pause state died with the carrier
@@ -757,7 +897,8 @@ impl Network {
             // deadline exists. Harmless if params ever become mutable.
             PauseWatchdog::Off => {}
             PauseWatchdog::ForceResume { .. } => {
-                if !state.transmitting {
+                debug_assert!(!busy || waits_on_completion(state));
+                if !busy {
                     resume_next = state.queue.pop();
                 }
             }
@@ -778,45 +919,45 @@ impl Network {
         }
     }
 
+    /// Put `frame` on the wire: its arrival is fully determined now, so
+    /// the `Deliver` is scheduled at once. The end of serialization only
+    /// becomes an event when something waits on it — a queued frame or
+    /// an asserted pause; otherwise the transmitter frees itself at
+    /// `busy_until` (see `Network::tx_busy`).
     fn start_tx(&mut self, link_id: LinkId, dir: Dir, frame: EthernetFrame) {
         let link = &mut self.links[link_id.0];
         let ser = link.params.serialization(&frame);
+        let when = self.now + ser + link.params.propagation;
         let epoch = link.epoch;
         let state = &mut link.dirs[dir.index()];
-        state.transmitting = true;
+        let len = frame.wire_len() as u64;
         state.stats.busy = state.stats.busy + ser;
-        let when = self.now + ser;
-        self.push_at(when, EventKind::TxDone { link: link_id, dir, epoch, frame });
+        state.stats.tx_frames += 1;
+        state.stats.tx_bytes += len;
+        state.in_flight_bytes = len;
+        state.busy_until = self.now + ser;
+        state.completion = Completion::Unscheduled;
+        let waited_on = !state.queue.is_empty() || state.pause_asserted;
+        self.push_at(when, EventKind::Deliver { link: link_id, dir, epoch, frame });
+        if waited_on {
+            self.schedule_completion(link_id, dir);
+        }
     }
 
-    fn on_tx_done(&mut self, link_id: LinkId, dir: Dir, epoch: u64, frame: EthernetFrame) {
+    fn on_tx_done(&mut self, link_id: LinkId, dir: Dir, epoch: u64) {
         let link = &mut self.links[link_id.0];
-        if epoch != link.epoch || !link.up {
-            // The cable was cut while these bits were leaving the MAC.
-            self.stats.drops_link_down += 1;
-            link.dirs[dir.index()].stats.dropped_link_down += 1;
-            self.trace(TraceEvent::DropLinkDown { link: link_id, frame: &frame });
-            return;
+        if epoch != link.epoch {
+            return; // the cable cut already accounted for the frame
         }
-        let prop = link.params.propagation;
-        {
-            let state = &mut link.dirs[dir.index()];
-            state.stats.tx_frames += 1;
-            state.stats.tx_bytes += frame.wire_len() as u64;
-        }
-        let when = self.now + prop;
-        self.push_at(when, EventKind::Deliver { link: link_id, dir, epoch, frame });
         // Pull the next queued frame into the transmitter — unless a
         // pause frame halted this direction (the in-flight frame always
         // finishes; the next one waits for resume).
-        let link = &mut self.links[link_id.0];
         let state = &mut link.dirs[dir.index()];
-        if state.paused {
-            state.transmitting = false;
-        } else if let Some(next) = state.queue.pop() {
-            self.start_tx(link_id, dir, next);
-        } else {
-            state.transmitting = false;
+        state.completion = Completion::Idle;
+        if !state.paused {
+            if let Some(next) = state.queue.pop() {
+                self.start_tx(link_id, dir, next);
+            }
         }
         // PFC: a queue that drained back to the resume threshold
         // releases its asserted pause.
@@ -855,10 +996,11 @@ impl Network {
     }
 
     fn on_link_admin(&mut self, link_id: LinkId, up: bool) {
-        let link = &mut self.links[link_id.0];
-        if link.up == up {
+        if self.links[link_id.0].up == up {
             return; // idempotent
         }
+        let serializing = [Dir::AtoB, Dir::BtoA].map(|dir| self.tx_busy(link_id, dir));
+        let link = &mut self.links[link_id.0];
         link.up = up;
         link.epoch += 1;
         let (a, b) = (link.a, link.b);
@@ -874,7 +1016,15 @@ impl Network {
                 let lost = state.queue.clear() as u64;
                 state.stats.dropped_link_down += lost;
                 self.stats.drops_link_down += lost;
-                state.transmitting = false;
+                if serializing[dir.index()] {
+                    // The frame leaving the MAC is lost too: it never
+                    // finished transmitting. Its `Deliver` still fires
+                    // and counts the engine-wide drop.
+                    state.stats.tx_frames -= 1;
+                    state.stats.tx_bytes -= state.in_flight_bytes;
+                    state.stats.dropped_link_down += 1;
+                }
+                state.completion = Completion::Idle;
                 if state.pause_asserted {
                     state.pause_asserted = false;
                     release.push(sender);
@@ -905,7 +1055,7 @@ impl Network {
             for dir in [Dir::AtoB, Dir::BtoA] {
                 let next = {
                     let state = &mut self.links[link_id.0].dirs[dir.index()];
-                    if !state.transmitting && !state.paused {
+                    if !state.paused {
                         state.queue.pop()
                     } else {
                         None
@@ -1463,6 +1613,203 @@ mod tests {
         assert_eq!(net.device::<Probe>(nb).heard.len(), 0);
         assert_eq!(net.stats().drops_link_down, 1);
         assert_eq!(net.stats().frames_delivered, 0);
+    }
+
+    /// Sends scripted frames on timers and, with `relay`, forwards
+    /// every frame heard on port 0 out of port 1.
+    struct Scripted {
+        name: String,
+        sends: Vec<(SimDuration, PortNo, EthernetFrame)>,
+        relay: bool,
+        heard: Vec<(SimTime, PortNo)>,
+    }
+
+    impl Scripted {
+        fn new(name: &str, sends: Vec<(SimDuration, PortNo, EthernetFrame)>, relay: bool) -> Self {
+            Scripted { name: name.into(), sends, relay, heard: Vec::new() }
+        }
+    }
+
+    impl Device for Scripted {
+        fn name(&self) -> &str {
+            &self.name
+        }
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            for (i, (after, _, _)) in self.sends.iter().enumerate() {
+                ctx.schedule(*after, TimerToken(i as u64));
+            }
+        }
+        fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
+            self.heard.push((ctx.now(), port));
+            if self.relay && port == PortNo(0) {
+                ctx.send(PortNo(1), frame);
+            }
+        }
+        fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
+            let (_, port, frame) = &self.sends[token.0 as usize];
+            ctx.send(*port, frame.clone());
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// `s ──(1 µs)── r ──(500 ns)── x`. The relay `r` starts a frame
+    /// toward `x` at 1 µs, so its transmitter finishes serializing at
+    /// exactly 1672 ns — the instant a frame `s` sends at 0 arrives at
+    /// `r` (and is relayed toward `x`). `x` may send a frame at 500 ns,
+    /// arriving at `r` at that same instant too; `r` may fire a timer
+    /// then, sending toward `x` as well.
+    fn tie_fabric(
+        x_sends: Vec<(SimDuration, PortNo, EthernetFrame)>,
+        s_sends: bool,
+        r_timer_at_tie: bool,
+    ) -> (Network, NodeId, NodeId, LinkId) {
+        let mut r_sends = vec![(SimDuration::micros(1), PortNo(1), test_frame())];
+        if r_timer_at_tie {
+            r_sends.push((SimDuration::nanos(1672), PortNo(1), test_frame()));
+        }
+        let mut b = NetworkBuilder::new();
+        let s = b.add(Box::new(Scripted::new(
+            "s",
+            if s_sends { vec![(SimDuration::ZERO, PortNo(0), test_frame())] } else { vec![] },
+            false,
+        )));
+        let r = b.add(Box::new(Scripted::new("r", r_sends, true)));
+        let x = b.add(Box::new(Scripted::new("x", x_sends, false)));
+        b.link(s, 0, r, 0, LinkParams::gigabit(SimDuration::micros(1)));
+        let rx = b.link(r, 1, x, 0, LinkParams::gigabit(SimDuration::nanos(500)));
+        (b.build(), r, x, rx)
+    }
+
+    #[test]
+    fn arrival_at_serialization_end_queues_behind_the_finishing_frame() {
+        // Arrivals sort before transmit completions at one instant, so
+        // the relayed frame finds the transmitter still busy: it is
+        // queued (and counted in the peak), and the pause `x` delivers
+        // later in the same batch holds it before the completion can
+        // start it.
+        let pause = (SimDuration::nanos(500), PortNo(0), crate::pfc::pause_frame());
+        let (mut net, r, x, rx) = tie_fabric(vec![pause], true, false);
+        assert!(net.run_until_idle(SimTime(u64::MAX)));
+        assert_eq!(net.device::<Scripted>(r).heard, vec![(SimTime(1672), PortNo(0))]);
+        let s = net.link(rx).stats(Dir::AtoB);
+        assert_eq!(s.peak_queue_bytes, 60, "the relayed frame waited in the queue");
+        assert_eq!(s.tx_frames, 1, "only the first frame left");
+        assert!(net.link(rx).is_paused(Dir::AtoB));
+        assert_eq!(net.link(rx).queue_depth(Dir::AtoB), (1, 60), "the pause holds it");
+        assert_eq!(net.device::<Scripted>(x).heard, vec![(SimTime(2172), PortNo(0))]);
+    }
+
+    #[test]
+    fn arrival_at_serialization_end_without_a_pause_follows_back_to_back() {
+        let (mut net, r, x, rx) = tie_fabric(vec![], true, false);
+        assert!(net.run_until_idle(SimTime(u64::MAX)));
+        assert_eq!(net.device::<Scripted>(r).heard.len(), 1);
+        let s = net.link(rx).stats(Dir::AtoB);
+        assert_eq!((s.peak_queue_bytes, s.tx_frames), (60, 2));
+        // Queued at 1672, started by the completion at 1672.
+        let heard: Vec<SimTime> = net.device::<Scripted>(x).heard.iter().map(|h| h.0).collect();
+        assert_eq!(heard, vec![SimTime(2172), SimTime(2844)]);
+    }
+
+    #[test]
+    fn timer_at_serialization_end_starts_its_frame_at_once() {
+        // Timers sort after transmit completions: the transmitter is
+        // free, the frame starts without touching the queue.
+        let (mut net, _r, x, rx) = tie_fabric(vec![], false, true);
+        assert!(net.run_until_idle(SimTime(u64::MAX)));
+        let s = net.link(rx).stats(Dir::AtoB);
+        assert_eq!((s.peak_queue_bytes, s.tx_frames), (0, 2));
+        let heard: Vec<SimTime> = net.device::<Scripted>(x).heard.iter().map(|h| h.0).collect();
+        assert_eq!(heard, vec![SimTime(2172), SimTime(2844)]);
+    }
+
+    #[test]
+    fn completion_due_mid_batch_runs_at_its_canonical_place() {
+        // The relayed arrival queues behind the finishing frame, making
+        // the completion at 1672 ns an event only then — mid-batch. It
+        // must still run before the timer of that instant (completions
+        // sort first), so the timer's frame finds one frame in service
+        // and none queued ahead of it.
+        let (mut net, _r, x, rx) = tie_fabric(vec![], true, true);
+        assert!(net.run_until_idle(SimTime(u64::MAX)));
+        let s = net.link(rx).stats(Dir::AtoB);
+        assert_eq!((s.peak_queue_bytes, s.tx_frames), (60, 3));
+        let heard: Vec<SimTime> = net.device::<Scripted>(x).heard.iter().map(|h| h.0).collect();
+        assert_eq!(heard, vec![SimTime(2172), SimTime(2844), SimTime(3516)]);
+    }
+
+    #[test]
+    fn zero_propagation_arrival_sorts_after_its_instants_timers() {
+        // Over a zero-propagation link a frame lands at its
+        // serialization end; it runs after everything else of that
+        // instant — here a timer of the receiver — as it did when the
+        // completion event scheduled it into the next batch.
+        struct Order(Vec<&'static str>);
+        impl Device for Order {
+            fn name(&self) -> &str {
+                "order"
+            }
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                ctx.schedule(SimDuration::nanos(672), TimerToken(0));
+            }
+            fn on_frame(&mut self, _: PortNo, _: EthernetFrame, _: &mut Ctx) {
+                self.0.push("frame");
+            }
+            fn on_timer(&mut self, _: TimerToken, _: &mut Ctx) {
+                self.0.push("timer");
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+        let mut b = NetworkBuilder::new();
+        let tx = b.add(Box::new(Blaster { name: "tx".into(), count: 1 }));
+        let rx = b.add(Box::new(Order(Vec::new())));
+        b.link(tx, 0, rx, 0, LinkParams::gigabit(SimDuration::ZERO));
+        let mut net = b.build();
+        net.run_until_idle(SimTime(u64::MAX));
+        assert_eq!(net.device::<Order>(rx).0, vec!["timer", "frame"]);
+    }
+
+    #[test]
+    fn cut_mid_serialization_loses_the_frame_and_takes_back_its_counters() {
+        let mut b = NetworkBuilder::new();
+        let tx = b.add(Box::new(Blaster { name: "tx".into(), count: 1 }));
+        let rx = b.add(Box::new(Probe::new("rx", false)));
+        let l = b.link(tx, 0, rx, 0, LinkParams::gigabit(SimDuration::micros(1)));
+        let mut net = b.build();
+        // 300 ns into the frame's 672 ns of line time.
+        net.schedule_link_down(l, SimTime(300));
+        net.run_until_idle(SimTime(u64::MAX));
+        assert!(net.device::<Probe>(rx).heard.is_empty());
+        assert_eq!(net.stats().drops_link_down, 1);
+        let s = net.link(l).stats(Dir::AtoB);
+        assert_eq!(s.dropped_link_down, 1);
+        assert_eq!((s.tx_frames, s.tx_bytes), (0, 0));
+        assert_eq!(s.busy, SimDuration::nanos(672), "the line was busy all the same");
+    }
+
+    #[test]
+    fn each_hop_costs_one_event_when_nothing_waits() {
+        // One frame, one hop: its Deliver is the only event. Three
+        // back-to-back frames add completions for the two that wait.
+        for (count, events) in [(1, 1), (3, 5)] {
+            let mut b = NetworkBuilder::new();
+            let tx = b.add(Box::new(Blaster { name: "tx".into(), count }));
+            let rx = b.add(Box::new(Probe::new("rx", false)));
+            b.link(tx, 0, rx, 0, LinkParams::default());
+            let mut net = b.build();
+            net.run_until_idle(SimTime(u64::MAX));
+            assert_eq!(net.stats().events, events, "{count} frame(s)");
+        }
     }
 
     #[test]

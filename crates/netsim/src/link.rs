@@ -312,13 +312,16 @@ pub struct Endpoint {
 /// experiment (E5), utilization reports and the E9 congestion tables.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirStats {
-    /// Frames fully transmitted.
+    /// Frames transmitted, counted when serialization starts (a frame
+    /// a cable cut aborts mid-serialization is taken back out).
     pub tx_frames: u64,
-    /// Bytes of frame data transmitted (excluding preamble/IFG).
+    /// Bytes of frame data transmitted (excluding preamble/IFG),
+    /// counted like `tx_frames`.
     pub tx_bytes: u64,
     /// Frames dropped because the queue was full.
     pub dropped_queue_full: u64,
-    /// Frames dropped because the link was down when sent or in flight.
+    /// Frames dropped because the link was down when sent, queued, or
+    /// serializing.
     pub dropped_link_down: u64,
     /// Accumulated busy time of the transmitter.
     pub busy: SimDuration,
@@ -334,11 +337,33 @@ pub struct DirStats {
     pub dropped_watchdog: u64,
 }
 
+/// How a direction's current (or last) serialization ends.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Completion {
+    /// Nothing is serializing: no frame yet, a `TxDone` has run, or a
+    /// cable cut aborted the frame.
+    #[default]
+    Idle,
+    /// A frame serializes until `busy_until` and no `TxDone` is
+    /// scheduled: nothing waits behind it, so the transmitter frees
+    /// itself silently at that instant.
+    Unscheduled,
+    /// A `TxDone` event is pending at `busy_until` to pull the next
+    /// queued frame (or release an asserted pause).
+    Scheduled,
+}
+
 /// One direction's transmit state.
 #[derive(Debug, Default)]
 pub(crate) struct DirState {
-    /// Frame currently being serialized, if any.
-    pub transmitting: bool,
+    /// End of the current (or last) serialization: the instant the
+    /// frame's last bit leaves the MAC.
+    pub busy_until: SimTime,
+    /// Whether a frame is serializing, and whether its end is an event.
+    pub completion: Completion,
+    /// Wire length of the frame serializing, so a cable cut can undo
+    /// its transmit counters.
+    pub in_flight_bytes: u64,
     /// Frames awaiting the transmitter, under the link's queue policy.
     pub queue: PortQueue,
     /// Transmitter halted by a pause frame from the downstream device.

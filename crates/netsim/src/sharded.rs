@@ -16,9 +16,11 @@
 //!    ([`LinkParams::without_propagation`]); it terminates in a
 //!    *boundary stub* device inside the sender's shard.
 //! 2. When a frame finishes serializing, the stub receives it at
-//!    exactly its `TxDone` instant, encodes it once, and forwards the
-//!    wire bytes over a bounded channel as a zero-copy [`Bytes`] view
-//!    together with its delivery time (`TxDone` + propagation). The
+//!    exactly its serialization end (the half-link's `Deliver`, with no
+//!    propagation to add), encodes it once, and forwards the wire
+//!    bytes over a bounded channel as a zero-copy [`Bytes`] view
+//!    together with its delivery time (serialization end +
+//!    propagation). The
 //!    receiving shard re-parses with [`EthernetFrame::parse_bytes`] —
 //!    sharing the one allocation — and schedules it with
 //!    [`Network::inject_at`].
@@ -288,8 +290,8 @@ type BatchReceiver = Receiver<Vec<RemoteMsg>>;
 /// A frame in flight between shards: the wire bytes plus everything the
 /// destination needs to schedule and order it deterministically.
 struct RemoteMsg {
-    /// Delivery instant at the destination (sender-side `TxDone` +
-    /// the cut link's propagation delay).
+    /// Delivery instant at the destination (sender-side serialization
+    /// end + the cut link's propagation delay).
     time: SimTime,
     /// Global id of the cut link — first component of the canonical
     /// ordering key for simultaneous cross-shard arrivals.
@@ -316,7 +318,7 @@ impl RemoteMsg {
 }
 
 /// The sender-side terminator of a cut link: receives frames at their
-/// `TxDone` instant (the half-link has zero propagation) and queues
+/// serialization end (the half-link has zero propagation) and queues
 /// them for the cross-shard exchange.
 struct BoundaryStub {
     name: String,

@@ -5,18 +5,22 @@
 //! (OMNeT++/Linux) ARP-Path implementations the paper cites.
 
 use crate::logic::{LogicEnv, SwitchLogic};
-use arppath_netsim::{Ctx, Device, PortNo, TimerToken};
+use arppath_netsim::{Ctx, Device, PortNo, SimDuration, TimerToken};
 use arppath_wire::EthernetFrame;
 
 /// Device adapter with no added processing delay.
 pub struct IdealSwitch<L: SwitchLogic> {
     logic: L,
+    /// Output and timer lists lent to every callback's [`LogicEnv`] and
+    /// reclaimed after it: a flood's fan-out reuses them.
+    outputs: Vec<(PortNo, EthernetFrame)>,
+    timers: Vec<(SimDuration, TimerToken)>,
 }
 
 impl<L: SwitchLogic> IdealSwitch<L> {
     /// Wrap `logic`.
     pub fn new(logic: L) -> Self {
-        IdealSwitch { logic }
+        IdealSwitch { logic, outputs: Vec::new(), timers: Vec::new() }
     }
 
     /// The wrapped decision plane.
@@ -33,11 +37,13 @@ impl<L: SwitchLogic> IdealSwitch<L> {
     where
         F: FnOnce(&mut L, &mut LogicEnv),
     {
-        // Snapshot port state for the env (Ctx and env have disjoint
-        // lifetimes; ports are few, the copy is trivial).
-        let ports_up: Vec<bool> =
-            (0..self.logic.num_ports()).map(|p| ctx.is_port_up(PortNo(p))).collect();
-        let mut env = LogicEnv::new(ctx.now(), &ports_up, self.logic.num_ports());
+        let mut env = LogicEnv::with_buffers(
+            ctx.now(),
+            ctx.ports_up(),
+            self.logic.num_ports(),
+            std::mem::take(&mut self.outputs),
+            std::mem::take(&mut self.timers),
+        );
         f(&mut self.logic, &mut env);
         for (port, frame) in env.outputs.drain(..) {
             ctx.send(port, frame);
@@ -45,6 +51,8 @@ impl<L: SwitchLogic> IdealSwitch<L> {
         for (after, token) in env.timers.drain(..) {
             ctx.schedule(after, token);
         }
+        self.outputs = env.outputs;
+        self.timers = env.timers;
     }
 }
 

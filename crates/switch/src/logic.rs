@@ -100,7 +100,23 @@ pub struct LogicEnv<'a> {
 impl<'a> LogicEnv<'a> {
     /// Build an environment for one callback.
     pub fn new(now: SimTime, ports_up: &'a [bool], num_ports: usize) -> Self {
-        LogicEnv { now, ports_up, num_ports, outputs: Vec::new(), timers: Vec::new() }
+        Self::with_buffers(now, ports_up, num_ports, Vec::new(), Vec::new())
+    }
+
+    /// Build an environment whose output and timer lists are the
+    /// caller's (empty) buffers, so an adapter that takes them back out
+    /// of [`LogicEnv::outputs`] / [`LogicEnv::timers`] after every
+    /// callback allocates nothing once they have grown to the largest
+    /// fan-out.
+    pub fn with_buffers(
+        now: SimTime,
+        ports_up: &'a [bool],
+        num_ports: usize,
+        outputs: Vec<(PortNo, EthernetFrame)>,
+        timers: Vec<(SimDuration, TimerToken)>,
+    ) -> Self {
+        debug_assert!(outputs.is_empty() && timers.is_empty(), "buffers must start empty");
+        LogicEnv { now, ports_up, num_ports, outputs, timers }
     }
 
     /// Current instant.

@@ -11,8 +11,10 @@
 //! seeded random connected graph.
 
 use arppath::ArpPathConfig;
-use arppath_host::{PingConfig, PingHost};
-use arppath_netsim::{CollectingTracer, NetworkStats, SimDuration, SimTime};
+use arppath_host::{pairings, Aimd, FlowConfig, FlowHost, PingConfig, PingHost, TrafficPattern};
+use arppath_netsim::{
+    CollectingTracer, NetworkStats, PauseWatchdog, QueuePolicy, SimDuration, SimTime,
+};
 use arppath_topo::{generic, BridgeKind, Fig1, Fig2, TopoBuilder};
 use arppath_wire::MacAddr;
 use std::net::Ipv4Addr;
@@ -115,6 +117,39 @@ fn run_random(strategy: RunStrategy, seed: u64) -> (Vec<String>, NetworkStats) {
     drive(built.net, sink, SimTime(SimDuration::millis(120).as_nanos()), strategy)
 }
 
+/// A PFC incast on an unjittered fat-tree. Every cable has the same
+/// delay and every flow starts at once, so frames keep arriving at the
+/// exact instant a transmitter finishes serializing, and pause frames
+/// land in those same batches — the ties whose order both run
+/// strategies must replay identically.
+fn run_pfc_ties(strategy: RunStrategy) -> (Vec<String>, NetworkStats) {
+    let mut t = TopoBuilder::new(BridgeKind::ArpPath(ArpPathConfig::default()));
+    let ft = generic::fat_tree(&mut t, 4);
+    let n = ft.host_capacity(2);
+    let ip = |i: usize| Ipv4Addr::new(10, 0, 0, (i + 1) as u8);
+    let pattern = TrafficPattern::Hotspot { hot_receivers: 2 };
+    for (i, &dst) in pairings(n, pattern, 7).iter().enumerate() {
+        let cfg = FlowConfig {
+            target: Some(ip(dst)),
+            start_at: SimDuration::millis(5),
+            segments: 16,
+            segment_len: 700,
+            rto: SimDuration::millis(5),
+            ..FlowConfig::default()
+        };
+        let mac = MacAddr::from_index(1, (i + 1) as u32);
+        let host =
+            FlowHost::with_controller(format!("h{i}"), mac, ip(i), cfg, Box::new(Aimd::new(2, 64)));
+        t.host(ft.edge_of_host(i, 2), Box::new(host));
+    }
+    t.set_queue_policy(QueuePolicy::pfc(2 * 1024));
+    t.set_watchdog(PauseWatchdog::force_resume(SimDuration::micros(50)));
+    let sink = Arc::new(Mutex::new(CollectingTracer::default()));
+    t.set_tracer(Box::new(sink.clone()));
+    let built = t.build();
+    drive(built.net, sink, SimTime(SimDuration::millis(40).as_nanos()), strategy)
+}
+
 #[test]
 fn fig1_batched_equals_single_step() {
     let (batched, stats_b) = run_fig1(RunStrategy::Batched);
@@ -152,6 +187,15 @@ fn random_graphs_batched_equals_single_step() {
         assert_eq!(stats_b, stats_s, "seed {seed}: counters diverge");
         assert_eq!(batched, stepped, "seed {seed}: trace divergence under batching");
     }
+}
+
+#[test]
+fn pfc_ties_batched_equals_single_step() {
+    let (batched, stats_b) = run_pfc_ties(RunStrategy::Batched);
+    let (stepped, stats_s) = run_pfc_ties(RunStrategy::SingleStep);
+    assert!(stats_b.watchdog_fires > 0, "the incast must hold pauses past the watchdog");
+    assert_eq!(stats_b, stats_s, "PFC tie scenario: counters diverge");
+    assert_eq!(batched, stepped, "PFC tie scenario: trace divergence under batching");
 }
 
 #[test]
