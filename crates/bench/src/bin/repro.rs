@@ -35,11 +35,12 @@
 //! trajectory (schema documented in `BASELINES.md`): per-experiment
 //! wall clocks, the quick E9 incast guard (with its per-controller
 //! FCT p99s), the quick E11 churn guard (with its undersized eviction
-//! count and correction p99), the quick E12 scale guard (with the SoA
-//! `dleft_bytes_per_station` figure), the engine event counts of the
-//! quick E9 incast and E12 runs (`e9_incast_quick_events`,
-//! `e12_quick_events` — deterministic, so gated tightly), plus the
-//! fast-table micro medians. The committed `BENCH_PR*.json` files are
+//! count and correction p99), the quick E12 scale guard (with the
+//! `dleft_bytes_per_station` figure), the engine event counts and
+//! pending-event queue bytes of the quick E9 incast and E12 runs
+//! (`e9_incast_quick_events`, `e12_quick_events`,
+//! `e9_incast_quick_queue_bytes`, `e12_quick_queue_bytes` —
+//! deterministic, so gated tightly), plus the fast-table micro medians. The committed `BENCH_PR*.json` files are
 //! such files; CI re-captures a quick one and gates it with the
 //! `bench-guard` subcommand:
 //!
@@ -613,10 +614,6 @@ fn main() {
             "every worker count delivers every datagram: {}",
             if e12_scale::verify_delivery(&result) { "HOLDS" } else { "VIOLATED" }
         );
-        println!(
-            "SoA planes under the AoS footprint: {}",
-            if e12_scale::verify_footprint(&result) { "HOLDS" } else { "VIOLATED" }
-        );
         eprintln!("[repro] e12: comparing merged traces across {:?}...", params.shard_counts);
         println!(
             "merged delivery trace byte-identical at every worker count: {}\n",
@@ -681,6 +678,7 @@ fn main() {
         let mut best_ms = f64::INFINITY;
         let mut fct_p99 = Vec::new();
         let mut incast_events = 0;
+        let mut incast_queue_bytes = 0;
         for _ in 0..3 {
             let started = Instant::now();
             let rows: Vec<_> = e9_congestion::CcMode::ALL
@@ -708,6 +706,7 @@ fn main() {
                 })
                 .collect();
             incast_events = results[0].rows.iter().map(|r| r.events).sum::<u64>();
+            incast_queue_bytes = results[0].rows.iter().map(|r| r.queue_bytes).sum::<u64>();
         }
         wall_ms.push(("e9_incast_quick_ms".into(), best_ms));
         wall_ms.extend(fct_p99);
@@ -715,6 +714,9 @@ fn main() {
         // (both controllers). A transmit completion the engine
         // schedules though nothing waits on it shows up here.
         wall_ms.push(("e9_incast_quick_events".into(), incast_events as f64));
+        // Deterministic counter: pending-event queue bytes of the same
+        // cells, set by the most events ever pending at once.
+        wall_ms.push(("e9_incast_quick_queue_bytes".into(), incast_queue_bytes as f64));
         // Third guard key since PR 9: a quick-geometry E11 churn run
         // (k=4, halved churn window, all three table regimes) — the
         // eviction/correction machinery this PR made observable. Its
@@ -754,7 +756,7 @@ fn main() {
         wall_ms.extend(churn_keys);
         // Fourth guard pair since PR 10: the quick E12 shard-scaling
         // sweep (k=16 skeleton, all four worker counts, matrix
-        // lookahead) and the SoA bytes-per-station figure it measures
+        // lookahead) and the d-left bytes-per-station figure it measures
         // — the two numbers the shard-scaling push is accountable for.
         eprintln!("[repro] bench-json: timing the quick E12 scale guard workload...");
         let scale_params = e12_scale::E12Params::quick();
@@ -768,17 +770,15 @@ fn main() {
                 e12_scale::verify_delivery(&result),
                 "quick E12 must deliver everything at every worker count"
             );
-            assert!(
-                e12_scale::verify_footprint(&result),
-                "quick E12 SoA footprint must undercut the AoS layout"
-            );
             let single =
                 result.rows.iter().find(|r| r.shards == 1).expect("quick E12 runs 1 worker");
             scale_keys = vec![
                 ("dleft_bytes_per_station".to_string(), result.bytes_per_station()),
-                // Deterministic counter: engine events of the
-                // single-threaded quick sweep point.
+                // Deterministic counters: engine events and
+                // pending-event queue bytes of the single-threaded
+                // quick sweep point.
                 ("e12_quick_events".to_string(), single.events as f64),
+                ("e12_quick_queue_bytes".to_string(), single.queue_bytes as f64),
             ];
         }
         wall_ms.push(("e12_scale_quick_ms".into(), best_ms));

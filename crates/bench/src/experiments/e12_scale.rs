@@ -13,9 +13,8 @@
 //!   conservative window protocol made the workers rendezvous; the
 //!   per-pair lookahead matrix (PR 10) exists to push this down;
 //! * **bytes per station** — the d-left path tables' heap footprint
-//!   (SoA planes, PR 10) summed over every bridge and divided by the
-//!   attached host count, with the pre-PR array-of-structs layout as
-//!   the yardstick.
+//!   (one cache line per bucket) summed over every bridge and divided
+//!   by the attached host count; `BENCH_PR13.json` gates it.
 //!
 //! Correctness rides along: every run must deliver every datagram, and
 //! the merged delivery trace must be byte-identical across *all* shard
@@ -99,6 +98,9 @@ pub struct E12Row {
     /// its boundary-stub bookkeeping, so every row simulates the same
     /// number).
     pub events: u64,
+    /// Heap bytes of the engine's pending-event queues at the deadline
+    /// (summed over shards).
+    pub queue_bytes: usize,
 }
 
 /// Full E12 output.
@@ -114,11 +116,8 @@ pub struct E12Result {
     pub lookahead: &'static str,
     /// One row per swept worker count.
     pub rows: Vec<E12Row>,
-    /// Σ path-table heap bytes over every bridge (SoA layout).
+    /// Σ path-table heap bytes over every bridge.
     pub table_bytes: usize,
-    /// What the pre-PR-10 AoS slot layout would spend on the same
-    /// geometry.
-    pub table_bytes_aos: usize,
 }
 
 impl E12Result {
@@ -126,11 +125,6 @@ impl E12Result {
     /// station.
     pub fn bytes_per_station(&self) -> f64 {
         self.table_bytes as f64 / self.hosts.max(1) as f64
-    }
-
-    /// The AoS yardstick, per station.
-    pub fn aos_bytes_per_station(&self) -> f64 {
-        self.table_bytes_aos as f64 / self.hosts.max(1) as f64
     }
 }
 
@@ -171,14 +165,14 @@ fn scenario(params: &E12Params) -> (TopoBuilder, FatTree, SimTime) {
 /// first run's bridges (the geometry is identical at every point).
 pub fn run(params: &E12Params) -> E12Result {
     let mut rows = Vec::new();
-    let mut footprint: Option<(usize, usize, usize)> = None; // (bridges, soa, aos)
+    let mut footprint: Option<(usize, usize)> = None; // (bridges, table bytes)
     let mut hosts = 0;
     for &requested in &params.shard_counts {
         let (t, ft, deadline) = scenario(params);
         hosts = ft.host_capacity(params.hosts_per_edge);
         let shards = requested.min(ft.k);
         let started = Instant::now();
-        let (sync_rounds, sent, delivered, tables, events) = if shards > 1 {
+        let (sync_rounds, sent, delivered, tables, events, queue_bytes) = if shards > 1 {
             let partition = Partition::rack_major(&ft, params.hosts_per_edge, hosts, shards);
             let mut topo = t.build_sharded_with(&partition, false, params.use_matrix);
             topo.net.run_until(deadline);
@@ -189,7 +183,14 @@ pub fn run(params: &E12Params) -> E12Result {
                 delivered += host.rx_datagrams;
             }
             let tables = table_footprint(topo.bridge_nodes.len(), |ix| topo.arppath(ix));
-            (topo.net.sync_rounds(), sent, delivered, tables, topo.net.stats().events)
+            (
+                topo.net.sync_rounds(),
+                sent,
+                delivered,
+                tables,
+                topo.net.stats().events,
+                topo.net.queue_heap_bytes(),
+            )
         } else {
             let mut built = t.build();
             built.net.run_until(deadline);
@@ -200,7 +201,7 @@ pub fn run(params: &E12Params) -> E12Result {
                 delivered += host.rx_datagrams;
             }
             let tables = table_footprint(built.bridge_nodes.len(), |ix| built.arppath(ix));
-            (0, sent, delivered, tables, built.net.stats().events)
+            (0, sent, delivered, tables, built.net.stats().events, built.net.queue_heap_bytes())
         };
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         footprint.get_or_insert(tables);
@@ -212,9 +213,10 @@ pub fn run(params: &E12Params) -> E12Result {
             delivered,
             sent,
             events,
+            queue_bytes,
         });
     }
-    let (bridges, table_bytes, table_bytes_aos) = footprint.expect("shard_counts must be nonempty");
+    let (bridges, table_bytes) = footprint.expect("shard_counts must be nonempty");
     E12Result {
         k: params.k,
         hosts,
@@ -222,24 +224,15 @@ pub fn run(params: &E12Params) -> E12Result {
         lookahead: if params.use_matrix { "matrix" } else { "global" },
         rows,
         table_bytes,
-        table_bytes_aos,
     }
 }
 
-/// Σ (SoA heap bytes, AoS-equivalent bytes) over every bridge's path
-/// table.
+/// Σ heap bytes over every bridge's path table.
 fn table_footprint<'a>(
     bridges: usize,
     arppath: impl Fn(BridgeIx) -> &'a ArpPathBridge,
-) -> (usize, usize, usize) {
-    let mut soa = 0;
-    let mut aos = 0;
-    for ix in 0..bridges {
-        let b = arppath(BridgeIx(ix));
-        soa += b.table_heap_bytes();
-        aos += b.table_heap_bytes_aos_equivalent();
-    }
-    (bridges, soa, aos)
+) -> (usize, usize) {
+    (bridges, (0..bridges).map(|ix| arppath(BridgeIx(ix)).table_heap_bytes()).sum())
 }
 
 /// The merged, timestamp-sorted delivery trace of one run at `shards`
@@ -290,12 +283,6 @@ pub fn verify_delivery(result: &E12Result) -> bool {
     !result.rows.is_empty() && result.rows.iter().all(|r| r.sent > 0 && r.delivered == r.sent)
 }
 
-/// The footprint half of the acceptance bar: the SoA planes cost less
-/// per station than the AoS layout they replaced.
-pub fn verify_footprint(result: &E12Result) -> bool {
-    result.table_bytes < result.table_bytes_aos
-}
-
 /// Render the scaling table.
 pub fn table(result: &E12Result) -> Table {
     let mut t = Table::new(
@@ -324,14 +311,9 @@ pub fn footprint_table(result: &E12Result) -> Table {
         &["layout", "total bytes", "bytes/station"],
     );
     t.row(&[
-        "SoA planes (PR 10)".into(),
+        "one-line buckets".into(),
         result.table_bytes.to_string(),
         format!("{:.0}", result.bytes_per_station()),
-    ]);
-    t.row(&[
-        "AoS slots (pre-PR)".into(),
-        result.table_bytes_aos.to_string(),
-        format!("{:.0}", result.aos_bytes_per_station()),
     ]);
     t
 }

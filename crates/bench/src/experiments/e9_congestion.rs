@@ -198,6 +198,9 @@ pub struct E9Row {
     pub jain_core: f64,
     /// Engine events processed.
     pub events: u64,
+    /// Heap bytes of the engine's pending-event queue at the deadline
+    /// (summed over shards) — set by the most events ever pending.
+    pub queue_bytes: u64,
 }
 
 /// Full E9 output for one fabric size: `patterns × modes` rows.
@@ -288,6 +291,13 @@ impl Fabric {
         match self {
             Fabric::Single(b) => b.net.stats(),
             Fabric::Sharded(s) => s.net.stats(),
+        }
+    }
+
+    fn queue_heap_bytes(&self) -> usize {
+        match self {
+            Fabric::Single(b) => b.net.queue_heap_bytes(),
+            Fabric::Sharded(s) => s.net.queue_heap_bytes(),
         }
     }
 
@@ -492,6 +502,7 @@ pub fn run_cell(params: &E9Params, mode: QueueMode, cc: CcMode, pattern: Traffic
         total_cores: ft.core.len(),
         jain_core: jain_index(&core_loads),
         events: stats.events,
+        queue_bytes: fabric.queue_heap_bytes() as u64,
     }
 }
 

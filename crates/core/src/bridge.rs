@@ -149,18 +149,12 @@ impl ArpPathBridge {
         self.table.capacity()
     }
 
-    /// Heap bytes the path table spends (SoA planes + generation
-    /// stamps + timer wheel). Summed across a fabric's bridges and
+    /// Heap bytes the path table spends (buckets, birth and generation
+    /// planes, timer wheel). Summed across a fabric's bridges and
     /// divided by the station count this is the bytes-per-station
     /// figure experiment E12 reports and bench-guard gates.
     pub fn table_heap_bytes(&self) -> usize {
         self.table.heap_bytes()
-    }
-
-    /// What the pre-PR-10 array-of-structs slot layout would spend on
-    /// the same geometry — the yardstick for the SoA footprint gate.
-    pub fn table_heap_bytes_aos_equivalent(&self) -> usize {
-        self.table.heap_bytes_aos_equivalent()
     }
 
     /// Churn/aging instrumentation snapshot of the path table
@@ -243,7 +237,7 @@ impl ArpPathBridge {
                             // First copy: take the entry over, displacing
                             // stale learnt state (the very thing repair
                             // exists to fix) or older waves.
-                            self.table.insert(src, PathEntry::repair_locked(port, n), lock_expiry);
+                            self.table.insert(src, PathEntry::locked(port), lock_expiry);
                             self.ap.locks_created += 1;
                         }
                     }
@@ -365,16 +359,12 @@ impl ArpPathBridge {
             }
             Some(e) => {
                 if e.state == EntryState::Locked {
-                    // Promote, preserving the wave stamp: a late copy
+                    // Promote in place: the port stays, so a late copy
                     // of the discovery flood that produced this reply
-                    // must still be recognized as a race loser.
+                    // still arrives off it and loses the race.
                     self.table.insert(
                         frame.dst,
-                        PathEntry {
-                            port: e.port,
-                            state: EntryState::Learnt,
-                            flood_nonce: e.flood_nonce,
-                        },
+                        PathEntry::learnt(e.port),
                         now + self.config.learn_time,
                     );
                     self.ap.promotions += 1;
@@ -611,33 +601,23 @@ impl ArpPathBridge {
         self.ap.path_replies_rx += 1;
         let now = env.now();
         // The destination host is reachable via this reply's ingress.
-        // The entry is stamped with the episode's nonce so that any
-        // still-circulating flood copy of a *concurrent* wave for the
-        // destination (e.g. the two sides of one failure repairing
-        // their opposite flows at once) cannot overwrite it and
-        // re-flood — that interleaving livelocked an early version.
-        self.try_insert(
-            ctl.dst_host,
-            PathEntry { port, state: EntryState::Learnt, flood_nonce: Some(ctl.nonce) },
-            now + self.config.learn_time,
-            now,
-        );
+        // Flood copies still circulating for the destination's repair
+        // waves cannot overwrite this entry and re-flood once their
+        // wave has passed here: `seen_waves` makes every later copy of
+        // a wave lose its race. (An early version that raced on the
+        // forwarding entry instead livelocked when the two sides of
+        // one failure repaired their opposite flows at once.)
+        self.try_insert(ctl.dst_host, PathEntry::learnt(port), now + self.config.learn_time, now);
         match self.table.get(&ctl.src_host, now).copied() {
             Some(e) if e.port == port => {
                 self.counters.drop_frame(DropReason::NoPath);
             }
             Some(e) => {
                 if e.state == EntryState::Locked {
+                    // Promote in place, as for an ARP reply.
                     self.table.insert(
                         ctl.src_host,
-                        PathEntry {
-                            port: e.port,
-                            state: EntryState::Learnt,
-                            // Keep the wave stamp across promotion (see
-                            // above; the reply usually carries the same
-                            // nonce the lock already holds).
-                            flood_nonce: e.flood_nonce.or(Some(ctl.nonce)),
-                        },
+                        PathEntry::learnt(e.port),
                         now + self.config.learn_time,
                     );
                     self.ap.promotions += 1;

@@ -16,34 +16,28 @@ pub enum EntryState {
 
 /// One entry of the path table: where frames *toward* `mac` leave this
 /// bridge — equivalently, the port on which `mac`'s winning frame
-/// arrived.
+/// arrived. Port and state are all a forwarding decision reads (repair
+/// waves resolve their races in the bridge's seen-waves table), so the
+/// entry is 16 bytes and a `MacAddr → PathEntry` table bucket is one
+/// cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathEntry {
     /// Port toward the station.
     pub port: PortNo,
     /// Lock/learnt state.
     pub state: EntryState,
-    /// For `Locked` entries created by a *repair* flood: the repair
-    /// nonce, so rival copies of the same PathRequest wave are
-    /// distinguished from unrelated discoveries. `None` for locks
-    /// created by host ARP traffic.
-    pub flood_nonce: Option<u32>,
 }
 
 impl PathEntry {
-    /// A fresh lock from a host-originated broadcast.
+    /// A fresh lock, set by the first copy of a discovery or repair
+    /// flood.
     pub fn locked(port: PortNo) -> Self {
-        PathEntry { port, state: EntryState::Locked, flood_nonce: None }
-    }
-
-    /// A fresh lock from a repair flood carrying `nonce`.
-    pub fn repair_locked(port: PortNo, nonce: u32) -> Self {
-        PathEntry { port, state: EntryState::Locked, flood_nonce: Some(nonce) }
+        PathEntry { port, state: EntryState::Locked }
     }
 
     /// A confirmed entry.
     pub fn learnt(port: PortNo) -> Self {
-        PathEntry { port, state: EntryState::Learnt, flood_nonce: None }
+        PathEntry { port, state: EntryState::Learnt }
     }
 
     /// True while in the locked (race-window) state.
@@ -55,14 +49,22 @@ impl PathEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arppath_switch::DLeftTable;
+    use arppath_wire::MacAddr;
 
     #[test]
     fn constructors_set_states() {
         assert!(PathEntry::locked(PortNo(1)).is_locked());
         assert!(!PathEntry::learnt(PortNo(1)).is_locked());
-        let r = PathEntry::repair_locked(PortNo(2), 7);
-        assert!(r.is_locked());
-        assert_eq!(r.flood_nonce, Some(7));
-        assert_eq!(PathEntry::locked(PortNo(1)).flood_nonce, None);
+    }
+
+    #[test]
+    fn path_table_bucket_is_one_cache_line() {
+        // A probe of one way reads one bucket: two MAC keys, two
+        // expiries and two entries must fill exactly one aligned line.
+        assert_eq!(std::mem::size_of::<PathEntry>(), 16);
+        let layout = DLeftTable::<MacAddr, PathEntry>::BUCKET_LAYOUT;
+        assert_eq!(layout.size(), 64);
+        assert_eq!(layout.align(), 64);
     }
 }

@@ -12,8 +12,13 @@
 //!
 //! * events within the **ring horizon** ([`BUCKET_COUNT`] ×
 //!   `2^`[`BUCKET_SHIFT`] ns ≈ 33 µs of future) go into fixed-width
-//!   time buckets — push is a shift + an append, and a same-timestamp
-//!   batch drains in one bucket visit;
+//!   time buckets. Storage is sized by what is pending, not by the
+//!   ring: every ring entry is a node in one slab, each bucket is only
+//!   a `u32` chain head into it, and freed nodes go on a LIFO free
+//!   list. The slab therefore grows only to the largest number of ring
+//!   entries ever pending at once, and a push — a shift, a free-list
+//!   pop and a head swap — writes a slot freed moments ago, still in
+//!   cache;
 //! * events beyond the horizon (protocol timers, idle-period traffic)
 //!   go to a `BinaryHeap` **annex** and are popped from it directly
 //!   when due — a sparse simulation therefore runs at binary-heap
@@ -30,15 +35,17 @@
 //! single-threaded and sharded engines — a heap keyed on insertion
 //! order alone would let the two engines race-resolve ties
 //! differently. The head is the minimum of the ring head (found via a
-//! two-level occupancy bitmap, O(1)) and the annex top, cached so
+//! two-level occupancy bitmap, O(1), then one walk of that bucket's
+//! chain) and the annex top, cached so
 //! [`head_time`](CalendarQueue::head_time) is O(1) and `&self`. All
 //! events sharing a timestamp land in one ring bucket and/or at the
-//! annex top, so [`drain_head`](CalendarQueue::drain_head) reassembles
-//! the cohort in `(key, seq)` order, sorting only when a cohort
-//! actually carries more than one event. A cohort that shares its
-//! bucket with other instants — on a dense flood, ~100 same-instant
-//! arrivals beside later ones — leaves it in one linear extraction
-//! pass, never one shifting removal per member.
+//! annex top, so [`drain_head`](CalendarQueue::drain_head) walks that
+//! bucket's chain once, splitting it into the cohort and the entries
+//! it keeps, sorts the cohort's `(key, seq, slot)` triples, and merges
+//! in the annex side before taking the items out of the slab. A
+//! cohort that shares its bucket with other instants — on a dense
+//! flood, ~100 same-instant arrivals beside later ones — costs that
+//! same single walk.
 //!
 //! The ring-window invariant that makes bucket masking sound: the
 //! cursor is the bucket of the last popped timestamp and only moves
@@ -49,8 +56,9 @@
 //!
 //! `tests` drive it against a `BinaryHeap` reference on randomized
 //! push/pop schedules; the engine-level byte-identity suites
-//! (`tests/engine_batching.rs`, `tests/sharded_equivalence.rs`, the
-//! CI trace diff) pin that the swap changed no delivery trace.
+//! (`tests/engine_batching.rs`, `tests/sharded_equivalence.rs`,
+//! `tests/engine_golden.rs`, the CI trace diff) pin that the queue
+//! changes no delivery trace.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -66,30 +74,46 @@ pub const BUCKET_SHIFT: u32 = 6;
 pub const BUCKET_COUNT: usize = 512;
 /// Words in the occupancy bitmap.
 const BITMAP_WORDS: usize = BUCKET_COUNT / 64;
+/// End of a bucket chain or of the free list.
+const NIL: u32 = u32::MAX;
 
-/// One scheduled item.
-#[derive(Debug, Clone)]
-struct Entry<T> {
+/// One ring entry in the slab: its order, the next slot of its bucket
+/// chain (or of the free list), and the payload, `None` while free.
+#[derive(Debug)]
+struct Node<T> {
     time: SimTime,
     key: u64,
     seq: u64,
-    item: T,
+    next: u32,
+    item: Option<T>,
 }
 
-impl<T> Entry<T> {
+impl<T> Node<T> {
     #[inline]
     fn ord(&self) -> (SimTime, u64, u64) {
         (self.time, self.key, self.seq)
     }
 }
 
-/// Annex wrapper ordered by `(time, key, seq)` alone.
-#[derive(Debug, Clone)]
-struct Far<T>(Entry<T>);
+/// One annex entry, ordered by `(time, key, seq)` alone.
+#[derive(Debug)]
+struct Far<T> {
+    time: SimTime,
+    key: u64,
+    seq: u64,
+    item: T,
+}
+
+impl<T> Far<T> {
+    #[inline]
+    fn ord(&self) -> (SimTime, u64, u64) {
+        (self.time, self.key, self.seq)
+    }
+}
 
 impl<T> PartialEq for Far<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.ord() == other.0.ord()
+        self.ord() == other.ord()
     }
 }
 impl<T> Eq for Far<T> {}
@@ -100,7 +124,7 @@ impl<T> PartialOrd for Far<T> {
 }
 impl<T> Ord for Far<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.ord().cmp(&other.0.ord())
+        self.ord().cmp(&other.ord())
     }
 }
 
@@ -163,9 +187,16 @@ impl Occupancy {
 /// `seq`) are supplied on push and echoed back on pop.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    /// The ring: `BUCKET_COUNT` buckets of `BUCKET_SHIFT`-wide slices
-    /// of time, indexed by absolute bucket number masked down.
-    buckets: Vec<Vec<Entry<T>>>,
+    /// Every ring entry, linked into its bucket's chain; free nodes are
+    /// linked into the free list instead. Never longer than the most
+    /// ring entries ever pending at once.
+    slab: Vec<Node<T>>,
+    /// Slot of the most recently freed node (`NIL` when none is free).
+    free: u32,
+    /// Chain head of each of the `BUCKET_COUNT` ring buckets
+    /// (`BUCKET_SHIFT`-wide slices of time, indexed by absolute bucket
+    /// number masked down); `NIL` when the bucket is empty.
+    heads: Box<[u32]>,
     /// Which ring buckets hold entries.
     occupied: Occupancy,
     /// Absolute bucket number of the last popped timestamp. Every ring
@@ -181,9 +212,9 @@ pub struct CalendarQueue<T> {
     head: Option<(SimTime, u64, u64)>,
     /// Total entries (ring + annex).
     len: usize,
-    /// Reused scratch for cohorts that need a `(key, seq)` sort or
-    /// filtering.
-    cohort: Vec<(u64, u64, T)>,
+    /// Reused scratch: the ring side of a drained cohort as
+    /// `(key, seq, slot)` triples.
+    cohort: Vec<(u64, u64, u32)>,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -196,7 +227,9 @@ impl<T> CalendarQueue<T> {
     /// An empty queue with the cursor at t = 0.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..BUCKET_COUNT).map(|_| Vec::new()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; BUCKET_COUNT].into_boxed_slice(),
             occupied: Occupancy::new(),
             cursor: 0,
             ring_len: 0,
@@ -222,6 +255,18 @@ impl<T> CalendarQueue<T> {
         self.head.map(|(t, _, _)| t)
     }
 
+    /// Heap bytes the queue holds: the slab, the chain heads, the
+    /// cohort scratch and the annex (the free list is threaded through
+    /// the slab). Capacities only grow, so after a run this reports the
+    /// storage its busiest moment needed; it is deterministic for a
+    /// given push/pop sequence.
+    pub fn heap_bytes(&self) -> usize {
+        self.slab.capacity() * std::mem::size_of::<Node<T>>()
+            + self.heads.len() * std::mem::size_of::<u32>()
+            + self.cohort.capacity() * std::mem::size_of::<(u64, u64, u32)>()
+            + self.annex.capacity() * std::mem::size_of::<Reverse<Far<T>>>()
+    }
+
     /// Absolute bucket number of `time`.
     #[inline]
     fn abs_bucket(time: SimTime) -> u64 {
@@ -245,10 +290,25 @@ impl<T> CalendarQueue<T> {
         let abs = Self::abs_bucket(time);
         assert!(abs >= self.cursor, "push at {time} is behind the queue's progress");
         if abs >= self.cursor + BUCKET_COUNT as u64 {
-            self.annex.push(Reverse(Far(Entry { time, key, seq, item })));
+            self.annex.push(Reverse(Far { time, key, seq, item }));
         } else {
             let idx = Self::ring_index(abs);
-            self.buckets[idx].push(Entry { time, key, seq, item });
+            let node = Node { time, key, seq, next: self.heads[idx], item: Some(item) };
+            let slot = if self.free == NIL {
+                let slot = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&slot| slot != NIL)
+                    .expect("calendar slab outgrew u32 slot numbers");
+                self.slab.push(node);
+                slot
+            } else {
+                let slot = self.free;
+                let reused = &mut self.slab[slot as usize];
+                self.free = reused.next;
+                *reused = node;
+                slot
+            };
+            self.heads[idx] = slot;
             self.occupied.set(idx);
             self.ring_len += 1;
         }
@@ -267,153 +327,150 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Recompute `head` after a removal: the minimum of the first
-    /// occupied ring bucket's `(time, key, seq)` (bitmap lookup) and
+    /// occupied ring bucket's chain (bitmap lookup, then one walk) and
     /// the annex top.
     fn rescan_head(&mut self) {
-        let mut best: Option<(SimTime, u64, u64)> =
-            self.annex.peek().map(|Reverse(far)| far.0.ord());
+        let mut best: Option<(SimTime, u64, u64)> = self.annex.peek().map(|Reverse(far)| far.ord());
         if self.ring_len > 0 {
             let idx = self
                 .occupied
                 .next_set_circular(Self::ring_index(self.cursor))
                 .expect("ring_len > 0 but no occupied bucket");
-            for e in &self.buckets[idx] {
-                if best.is_none_or(|b| e.ord() < b) {
-                    best = Some(e.ord());
+            let mut slot = self.heads[idx];
+            while slot != NIL {
+                let node = &self.slab[slot as usize];
+                if best.is_none_or(|b| node.ord() < b) {
+                    best = Some(node.ord());
                 }
+                slot = node.next;
             }
         }
         debug_assert_eq!(best.is_none(), self.len == 0);
         self.head = best;
     }
 
+    /// Drop `slot` out of bucket `idx`'s chain; `prev` is its
+    /// predecessor there, `NIL` when it is the chain head.
+    #[inline]
+    fn unlink(&mut self, idx: usize, prev: u32, slot: u32) {
+        let next = self.slab[slot as usize].next;
+        if prev == NIL {
+            self.heads[idx] = next;
+        } else {
+            self.slab[prev as usize].next = next;
+        }
+    }
+
+    /// Take the item out of an unlinked node and put the node on the
+    /// free list.
+    #[inline]
+    fn release(&mut self, slot: u32) -> T {
+        let node = &mut self.slab[slot as usize];
+        node.next = self.free;
+        self.free = slot;
+        node.item.take().expect("released a free slab node")
+    }
+
     /// Remove and return the earliest event as `(time, key, seq, item)`.
     pub fn pop_min(&mut self) -> Option<(SimTime, u64, u64, T)> {
         let (time, key, seq) = self.head?;
         let from_annex =
-            self.annex.peek().is_some_and(|Reverse(far)| far.0.ord() == (time, key, seq));
-        let entry = if from_annex {
-            let Some(Reverse(Far(entry))) = self.annex.pop() else { unreachable!() };
-            entry
+            self.annex.peek().is_some_and(|Reverse(far)| far.ord() == (time, key, seq));
+        let item = if from_annex {
+            let Some(Reverse(far)) = self.annex.pop() else { unreachable!() };
+            far.item
         } else {
             let idx = Self::ring_index(Self::abs_bucket(time));
-            let bucket = &mut self.buckets[idx];
-            let pos = bucket
-                .iter()
-                .position(|e| e.ord() == (time, key, seq))
-                .expect("cached head missing from its bucket");
-            // `remove`, not `swap_remove`: same-time runs keep their
-            // push order, preserving the drain fast path's sortedness
-            // check for untied cohorts.
-            let entry = bucket.remove(pos);
-            if bucket.is_empty() {
+            let (mut prev, mut slot) = (NIL, self.heads[idx]);
+            loop {
+                assert!(slot != NIL, "cached head missing from its bucket");
+                let node = &self.slab[slot as usize];
+                if node.ord() == (time, key, seq) {
+                    break;
+                }
+                prev = slot;
+                slot = node.next;
+            }
+            self.unlink(idx, prev, slot);
+            if self.heads[idx] == NIL {
                 self.occupied.clear(idx);
             }
             self.ring_len -= 1;
-            entry
+            self.release(slot)
         };
         self.len -= 1;
         self.advance_cursor(Self::abs_bucket(time));
         self.rescan_head();
-        Some((entry.time, entry.key, entry.seq, entry.item))
+        Some((time, key, seq, item))
     }
 
     /// Remove every event at the head timestamp, appending them to `out`
     /// as `(key, item)` pairs in `(key, seq)` order, and return that
-    /// timestamp. One bucket visit and/or a run of annex pops — the
-    /// engine's same-timestamp batch drain.
+    /// timestamp. One walk of the head bucket's chain plus a run of
+    /// annex pops — the engine's same-timestamp batch drain.
     pub fn drain_head<E: Extend<(u64, T)>>(&mut self, out: &mut E) -> Option<SimTime> {
         let (time, _, _) = self.head?;
-        let annex_has = self.annex.peek().is_some_and(|Reverse(far)| far.0.time == time);
-        // The cohort's ring bucket, if the masked slot actually carries
-        // this time (it may alias a different absolute bucket).
-        let idx = Self::ring_index(Self::abs_bucket(time));
-        let ring_has = self.ring_len > 0 && self.buckets[idx].iter().any(|e| e.time == time);
-        match (ring_has, annex_has) {
-            (true, false) => self.drain_ring_cohort(idx, time, out),
-            (false, true) => self.drain_annex_cohort(time, out),
-            (true, true) => {
-                // A cohort straddling the horizon (part pushed before
-                // the cursor reached it, part after): gather both
-                // sides, sort by (key, seq).
-                let mut cohort = self.extract_ring_cohort(idx, time);
-                while let Some(Reverse(far)) = self.annex.peek() {
-                    if far.0.time != time {
-                        break;
-                    }
-                    let Some(Reverse(Far(e))) = self.annex.pop() else { unreachable!() };
-                    cohort.push((e.key, e.seq, e.item));
-                    self.len -= 1;
-                }
-                self.emit_sorted(cohort, out);
-            }
-            (false, false) => unreachable!("cached head in neither structure"),
+        let mut cohort = std::mem::take(&mut self.cohort);
+        debug_assert!(cohort.is_empty());
+        if self.ring_len > 0 {
+            // The masked bucket may also hold other absolute buckets'
+            // entries; the walk keeps them linked.
+            self.extract_ring_cohort(Self::ring_index(Self::abs_bucket(time)), time, &mut cohort);
+            cohort.sort_unstable_by_key(|&(key, seq, _)| (key, seq));
         }
+        // A cohort straddling the horizon (part pushed before the
+        // cursor reached it, part after) also sits at the annex top,
+        // already in (key, seq) order: merge the two sides.
+        let mut emitted = 0;
+        while let Some(Reverse(far)) = self.annex.peek().filter(|Reverse(far)| far.time == time) {
+            let annex_ord = (far.key, far.seq);
+            let upto = emitted + cohort[emitted..].partition_point(|&(k, s, _)| (k, s) < annex_ord);
+            self.emit_ring(&cohort[emitted..upto], out);
+            emitted = upto;
+            let Some(Reverse(far)) = self.annex.pop() else { unreachable!() };
+            out.extend(std::iter::once((far.key, far.item)));
+            self.len -= 1;
+        }
+        self.emit_ring(&cohort[emitted..], out);
+        cohort.clear();
+        self.cohort = cohort;
         self.advance_cursor(Self::abs_bucket(time));
         self.rescan_head();
         Some(time)
     }
 
-    /// Drain the `time` cohort out of ring bucket `idx`.
-    fn drain_ring_cohort<E: Extend<(u64, T)>>(&mut self, idx: usize, time: SimTime, out: &mut E) {
-        let bucket = &mut self.buckets[idx];
-        // Fast path for the overwhelmingly common case: the bucket
-        // holds exactly the head cohort, already in (key, seq) order —
-        // always true for the single-event cohorts that dominate.
-        let mut prev: Option<(u64, u64)> = None;
-        let uniform = bucket.iter().all(|e| {
-            let ok = e.time == time && prev < Some((e.key, e.seq));
-            prev = Some((e.key, e.seq));
-            ok
-        });
-        if uniform {
-            self.ring_len -= bucket.len();
-            self.len -= bucket.len();
-            out.extend(bucket.drain(..).map(|e| (e.key, e.item)));
-            self.occupied.clear(idx);
-            return;
+    /// Unlink every `time` entry of ring bucket `idx` in one walk of
+    /// its chain, appending their `(key, seq, slot)` triples to
+    /// `cohort`; the other entries stay linked.
+    fn extract_ring_cohort(
+        &mut self,
+        idx: usize,
+        time: SimTime,
+        cohort: &mut Vec<(u64, u64, u32)>,
+    ) {
+        let (mut prev, mut slot) = (NIL, self.heads[idx]);
+        while slot != NIL {
+            let node = &self.slab[slot as usize];
+            let next = node.next;
+            if node.time == time {
+                cohort.push((node.key, node.seq, slot));
+                self.unlink(idx, prev, slot);
+            } else {
+                prev = slot;
+            }
+            slot = next;
         }
-        // Mixed bucket: extract matches, sort the cohort into the
-        // canonical (key, seq) order, keep the rest.
-        let cohort = self.extract_ring_cohort(idx, time);
-        self.emit_sorted(cohort, out);
-    }
-
-    /// Move every `time` entry of ring bucket `idx` into the reused
-    /// cohort scratch in one linear pass — the rest of the bucket keeps
-    /// its order — and return the scratch for sorting.
-    fn extract_ring_cohort(&mut self, idx: usize, time: SimTime) -> Vec<(u64, u64, T)> {
-        let mut cohort = std::mem::take(&mut self.cohort);
-        debug_assert!(cohort.is_empty());
-        let bucket = &mut self.buckets[idx];
-        cohort.extend(bucket.extract_if(.., |e| e.time == time).map(|e| (e.key, e.seq, e.item)));
         self.ring_len -= cohort.len();
         self.len -= cohort.len();
-        if bucket.is_empty() {
+        if self.heads[idx] == NIL {
             self.occupied.clear(idx);
         }
-        cohort
     }
 
-    /// Sort a gathered cohort into `(key, seq)` order, append it to
-    /// `out`, and hand the scratch buffer back for reuse.
-    fn emit_sorted<E: Extend<(u64, T)>>(&mut self, mut cohort: Vec<(u64, u64, T)>, out: &mut E) {
-        cohort.sort_unstable_by_key(|&(key, seq, _)| (key, seq));
-        out.extend(cohort.drain(..).map(|(key, _, item)| (key, item)));
-        self.cohort = cohort;
-    }
-
-    /// Drain the `time` cohort off the top of the annex heap (pops
-    /// arrive in `(time, key, seq)` order — already sorted).
-    fn drain_annex_cohort<E: Extend<(u64, T)>>(&mut self, time: SimTime, out: &mut E) {
-        while let Some(Reverse(far)) = self.annex.peek() {
-            if far.0.time != time {
-                break;
-            }
-            let Some(Reverse(Far(entry))) = self.annex.pop() else { unreachable!() };
-            out.extend(std::iter::once((entry.key, entry.item)));
-            self.len -= 1;
-        }
+    /// Append sorted, unlinked cohort entries to `out`, freeing their
+    /// slab nodes.
+    fn emit_ring<E: Extend<(u64, T)>>(&mut self, entries: &[(u64, u64, u32)], out: &mut E) {
+        out.extend(entries.iter().map(|&(key, _, slot)| (key, self.release(slot))));
     }
 }
 
@@ -680,6 +737,120 @@ mod tests {
             }
             prop_assert!(heap.is_empty());
             prop_assert!(cal.is_empty());
+        }
+
+        #[test]
+        fn mixed_pops_drains_and_straddles_match_heap_and_bound_the_slab(
+            ops in proptest::collection::vec((0u8..4, 0u64..4, 50u64..=200, 0u64..1_000), 4..24),
+        ) {
+            // Every shape the engine produces, interleaved: 50–200-event
+            // same-instant cohorts pushed in anti-key order with pushes
+            // at their bucket's other instants mixed in; cohorts that
+            // straddle the horizon (one half pushed to the annex, the
+            // other into the ring once the cursor has come near); and
+            // `pop_min` and `drain_head` calls in any order. Every
+            // event must leave in exactly the (time, key, seq) order of
+            // a `BinaryHeap`, and the slab must never hold more nodes
+            // than ring entries were ever pending at once — freed
+            // nodes are reused before it grows.
+            let mut cal = CalendarQueue::new();
+            let mut heap: BinaryHeap<Reverse<(SimTime, u64, u64)>> = BinaryHeap::new();
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            let mut ring_high_water = 0;
+            for (op, lane, size, key_base) in ops {
+                match op {
+                    0 => {
+                        // Pop single events through a whole cohort's
+                        // worth of the queue.
+                        for _ in 0..size {
+                            let got = cal.pop_min().map(|(time, k, s, _)| (time, k, s));
+                            prop_assert_eq!(got, heap.pop().map(|Reverse(e)| e));
+                            if let Some((time, _, _)) = got {
+                                now = time.as_nanos();
+                            }
+                        }
+                    }
+                    1 => {
+                        // Drain a few batches.
+                        let mut batch = Vec::new();
+                        for _ in 0..=lane {
+                            let Some(time) = cal.drain_head(&mut batch) else { break };
+                            for (key, item) in batch.drain(..) {
+                                let Reverse(want) = heap.pop().expect("heap drained early");
+                                prop_assert_eq!((time, key, item), want);
+                            }
+                            now = time.as_nanos();
+                        }
+                    }
+                    2 => {
+                        // A dense cohort at one instant of a future
+                        // bucket, with every third push landing at
+                        // another instant of the same bucket.
+                        let base = ((now >> BUCKET_SHIFT) + 1 + lane * 7) << BUCKET_SHIFT;
+                        let offset = key_base % 64;
+                        for i in 0..size {
+                            for (time, key) in [(base + offset, key_base + size - i), (base + (offset + 1 + i) % 64, i)] {
+                                cal.push(t(time), key, seq, seq);
+                                heap.push(Reverse((t(time), key, seq)));
+                                seq += 1;
+                                if i % 3 != 0 {
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                    _ => {
+                        // A straddling cohort: half at an instant past
+                        // the horizon goes to the annex; pops up to a
+                        // stepping stone move the cursor near it; the
+                        // other half, with interleaved keys, then goes
+                        // into the ring.
+                        let far = now + 40_000 + lane;
+                        let stone = now + 20_000;
+                        for i in 0..size / 2 {
+                            cal.push(t(far), key_base + 2 * i, seq, seq);
+                            heap.push(Reverse((t(far), key_base + 2 * i, seq)));
+                            seq += 1;
+                        }
+                        prop_assert!(cal.annex.len() >= (size / 2) as usize);
+                        cal.push(t(stone), 0, seq, seq);
+                        heap.push(Reverse((t(stone), 0, seq)));
+                        seq += 1;
+                        ring_high_water = ring_high_water.max(cal.ring_len);
+                        while cal.head_time().is_some_and(|h| h <= t(stone)) {
+                            let got = cal.pop_min().map(|(time, k, s, _)| (time, k, s));
+                            prop_assert_eq!(got, heap.pop().map(|Reverse(e)| e));
+                        }
+                        now = stone;
+                        let ring_half = size - size / 2;
+                        for i in 0..ring_half {
+                            // Odd keys, descending, between the annex
+                            // half's even ones.
+                            let key = key_base + 2 * (ring_half - i) - 1;
+                            cal.push(t(far), key, seq, seq);
+                            heap.push(Reverse((t(far), key, seq)));
+                            seq += 1;
+                        }
+                    }
+                }
+                ring_high_water = ring_high_water.max(cal.ring_len);
+                prop_assert_eq!(cal.slab.len(), ring_high_water);
+                prop_assert_eq!(cal.head_time(), heap.peek().map(|Reverse((time, _, _))| *time));
+                prop_assert_eq!(cal.len(), heap.len());
+            }
+            // Finish with alternating batch drains and single pops.
+            let mut batch = Vec::new();
+            while let Some(time) = cal.drain_head(&mut batch) {
+                for (key, item) in batch.drain(..) {
+                    let Reverse(want) = heap.pop().expect("heap drained early");
+                    prop_assert_eq!((time, key, item), want);
+                }
+                let got = cal.pop_min().map(|(time, k, s, _)| (time, k, s));
+                prop_assert_eq!(got, heap.pop().map(|Reverse(e)| e));
+            }
+            prop_assert!(heap.is_empty());
+            prop_assert_eq!(cal.slab.len(), ring_high_water);
         }
 
         #[test]

@@ -384,6 +384,13 @@ impl Network {
         self.stats
     }
 
+    /// Heap bytes the pending-event queue holds (see
+    /// [`CalendarQueue::heap_bytes`]): deterministic per run, and set
+    /// by the most events ever pending at once.
+    pub fn queue_heap_bytes(&self) -> usize {
+        self.queue.heap_bytes()
+    }
+
     /// Number of devices.
     pub fn node_count(&self) -> usize {
         self.devices.len()

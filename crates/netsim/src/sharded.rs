@@ -1082,6 +1082,12 @@ impl ShardedNetwork {
         total
     }
 
+    /// Heap bytes the shards' pending-event queues hold, summed (see
+    /// [`Network::queue_heap_bytes`]).
+    pub fn queue_heap_bytes(&self) -> usize {
+        self.shards.iter().map(|shard| shard.net.queue_heap_bytes()).sum()
+    }
+
     /// Total frames that crossed a shard boundary.
     pub fn cross_frames(&self) -> u64 {
         self.shards

@@ -9,13 +9,15 @@
 //!
 //! * **d = [`WAYS`] ways**, each a flat array of buckets holding
 //!   [`SLOTS_PER_BUCKET`] slots — no per-entry heap allocation, no
-//!   pointer chasing. Since PR 10 the slots are stored
-//!   **struct-of-arrays**: the key plane (which doubles as the
-//!   occupancy map), expiry plane, birth plane, and value plane are
-//!   separate flat arrays indexed by the same flat slot index. A probe
-//!   walks only the key plane — one cache line per way even when `V`
-//!   is fat — and touches the expiry plane for the single matched
-//!   slot; values are read only on a hit.
+//!   pointer chasing. Like the hardware's one-word entry, a bucket
+//!   keeps everything a probe reads together: its slots' keys (which
+//!   double as the occupancy map), expiries and values sit in one
+//!   64-byte-aligned block — exactly one cache line for the path
+//!   table's `MacAddr → PathEntry` buckets — so a hit or a miss costs
+//!   one line per way. The slots' birth instants and generation stamps,
+//!   which only insert, vacate and the scrubber touch, stay in cold
+//!   planes indexed by flat slot number (`bucket × SLOTS_PER_BUCKET +
+//!   slot`), the same number the timer wheel files.
 //!   [`heap_bytes`](DLeftTable::heap_bytes) reports the resulting footprint so
 //!   bytes-per-station is a measured number, not a guess.
 //! * **Multiply-shift hashing**: each way reduces a mixed 64-bit key
@@ -200,27 +202,44 @@ impl TableStats {
     }
 }
 
+/// One bucket: what a probe reads for its [`SLOTS_PER_BUCKET`] slots,
+/// in one 64-byte-aligned block.
+#[derive(Debug, Clone)]
+#[repr(C, align(64))]
+struct Bucket<K, V> {
+    /// `Some` iff the slot is occupied (doubling as the occupancy map).
+    keys: [Option<K>; SLOTS_PER_BUCKET],
+    /// Expiry instants; meaningful only while the slot is occupied.
+    expires: [SimTime; SLOTS_PER_BUCKET],
+    /// `Some` exactly where `keys` is.
+    values: [Option<V>; SLOTS_PER_BUCKET],
+}
+
+impl<K, V> Bucket<K, V> {
+    /// Every slot free. A constant, not a constructor call, so filling
+    /// the bucket array compiles to block copies of one prebuilt value.
+    const EMPTY: Self = Bucket {
+        keys: [const { None }; SLOTS_PER_BUCKET],
+        expires: [SimTime::ZERO; SLOTS_PER_BUCKET],
+        values: [const { None }; SLOTS_PER_BUCKET],
+    };
+}
+
 /// The fixed-geometry aging hash table. See the module docs for the
-/// hardware mapping, the SoA plane layout, and the eviction policy.
+/// hardware mapping, the bucket layout, and the eviction policy.
 #[derive(Debug, Clone)]
 pub struct DLeftTable<K: DLeftKey, V> {
     /// log2 of buckets per way.
     bucket_bits: u32,
-    /// SoA key plane, way-major then bucket then slot; `Some` iff the
-    /// slot is occupied (the plane doubles as the occupancy map, so a
-    /// probe never leaves it until a key matches).
-    keys: Vec<Option<K>>,
-    /// SoA expiry plane; meaningful only while the slot is occupied.
-    expires: Vec<SimTime>,
-    /// SoA birth plane: instant of the insert that created (or
-    /// re-keyed) the slot's current entry — the baseline for the
-    /// eviction-victim age histogram. Touches extend the expiry plane
-    /// but not this one.
+    /// The buckets, way-major; flat slot `i` is slot
+    /// `i % SLOTS_PER_BUCKET` of bucket `i / SLOTS_PER_BUCKET`.
+    buckets: Vec<Bucket<K, V>>,
+    /// Cold birth plane by flat slot: instant of the insert that
+    /// created (or re-keyed) the slot's current entry — the baseline
+    /// for the eviction-victim age histogram. Touches extend the expiry
+    /// but not this.
     born: Vec<SimTime>,
-    /// SoA value plane; `Some` exactly where the key plane is. Off the
-    /// probe path — read only after a key-plane hit.
-    values: Vec<Option<V>>,
-    /// Per-slot generation stamps; bumped on every vacate so stale
+    /// Cold per-slot generation stamps; bumped on every vacate so stale
     /// wheel entries fail revalidation.
     gens: Vec<u32>,
     /// Occupied slots (live or not-yet-scrubbed).
@@ -246,6 +265,10 @@ impl<K: DLeftKey, V> Default for DLeftTable<K, V> {
 }
 
 impl<K: DLeftKey, V> DLeftTable<K, V> {
+    /// Size and alignment of one bucket — what one probe of one way
+    /// reads. A 64-byte bucket is exactly one cache line.
+    pub const BUCKET_LAYOUT: std::alloc::Layout = std::alloc::Layout::new::<Bucket<K, V>>();
+
     /// A table with the default geometry ([`DEFAULT_BUCKET_BITS`]).
     pub fn new() -> Self {
         DLeftTable::with_bucket_bits(DEFAULT_BUCKET_BITS)
@@ -256,13 +279,14 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// geometry is fixed for the table's lifetime, like the hardware.
     pub fn with_bucket_bits(bucket_bits: u32) -> Self {
         assert!(bucket_bits <= 24, "bucket_bits {bucket_bits} would allocate absurd geometry");
-        let total = (WAYS * SLOTS_PER_BUCKET) << bucket_bits;
+        let bucket_count = WAYS << bucket_bits;
+        let mut buckets = Vec::with_capacity(bucket_count);
+        buckets.resize_with(bucket_count, || Bucket::EMPTY);
+        let total = bucket_count * SLOTS_PER_BUCKET;
         DLeftTable {
             bucket_bits,
-            keys: vec![None; total],
-            expires: vec![SimTime::ZERO; total],
+            buckets,
             born: vec![SimTime::ZERO; total],
-            values: (0..total).map(|_| None).collect(),
             gens: vec![0; total],
             len: 0,
             wheel: TimerWheel::default(),
@@ -275,36 +299,17 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
 
     /// Total physical slot count of the fixed geometry.
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.buckets.len() * SLOTS_PER_BUCKET
     }
 
-    /// Heap footprint of the table in bytes: every SoA plane, the
-    /// generation stamps, the timer wheel, and the reused delivery
-    /// buffer. Geometry dominates — the planes are allocated in full
-    /// at construction — so dividing by the station count gives the
-    /// bytes-per-station figure experiment E12 reports.
+    /// Heap footprint of the table in bytes: the buckets, the cold
+    /// birth and generation planes, the timer wheel, and the reused
+    /// delivery buffer. Geometry dominates — buckets and planes are
+    /// allocated in full at construction — so dividing by the station
+    /// count gives the bytes-per-station figure experiment E12 reports.
     pub fn heap_bytes(&self) -> usize {
-        self.keys.capacity() * std::mem::size_of::<Option<K>>()
-            + self.expires.capacity() * std::mem::size_of::<SimTime>()
+        self.buckets.capacity() * std::mem::size_of::<Bucket<K, V>>()
             + self.born.capacity() * std::mem::size_of::<SimTime>()
-            + self.values.capacity() * std::mem::size_of::<Option<V>>()
-            + self.gens.capacity() * std::mem::size_of::<u32>()
-            + self.wheel.heap_bytes()
-            + self.due.capacity() * std::mem::size_of::<TimerEntry>()
-    }
-
-    /// What the pre-PR-10 array-of-structs layout
-    /// (`Vec<Option<(K, Aged<V>, SimTime)>>` slots + stamps + wheel)
-    /// would spend on the same geometry — the yardstick the SoA
-    /// footprint is gated against in CI.
-    pub fn heap_bytes_aos_equivalent(&self) -> usize {
-        #[allow(dead_code)]
-        struct AosSlot<K, V> {
-            key: K,
-            aged: Aged<V>,
-            born: SimTime,
-        }
-        self.keys.len() * std::mem::size_of::<Option<AosSlot<K, V>>>()
             + self.gens.capacity() * std::mem::size_of::<u32>()
             + self.wheel.heap_bytes()
             + self.due.capacity() * std::mem::size_of::<TimerEntry>()
@@ -336,10 +341,22 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         self.len == 0
     }
 
-    /// Flat index of way `way`, bucket `bucket`, slot 0.
+    /// Index into `buckets` of way `way`, bucket `bucket`.
     #[inline]
-    fn bucket_base(&self, way: usize, bucket: usize) -> usize {
-        (way << self.bucket_bits | bucket) * SLOTS_PER_BUCKET
+    fn bucket_index(&self, way: usize, bucket: usize) -> usize {
+        way << self.bucket_bits | bucket
+    }
+
+    /// The bucket holding flat slot `idx`, and the slot within it.
+    #[inline]
+    fn slot(&self, idx: usize) -> (&Bucket<K, V>, usize) {
+        (&self.buckets[idx / SLOTS_PER_BUCKET], idx % SLOTS_PER_BUCKET)
+    }
+
+    /// Mutable [`slot`](Self::slot).
+    #[inline]
+    fn slot_mut(&mut self, idx: usize) -> (&mut Bucket<K, V>, usize) {
+        (&mut self.buckets[idx / SLOTS_PER_BUCKET], idx % SLOTS_PER_BUCKET)
     }
 
     /// The candidate bucket for `key` in `way` (fast-range reduction of
@@ -350,36 +367,64 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         ((u128::from(h) * (1u128 << self.bucket_bits)) >> 64) as usize
     }
 
-    /// Flat index of the slot holding `key`, if any. Walks the key
-    /// plane only — the whole point of the SoA layout.
+    /// Flat index of the slot holding `key`, if any: one bucket — one
+    /// cache line — per way.
     #[inline]
     fn find(&self, key: &K) -> Option<usize> {
         let fp = mix64(key.fingerprint());
         for way in 0..WAYS {
-            let base = self.bucket_base(way, self.way_bucket(fp, way));
-            for idx in base..base + SLOTS_PER_BUCKET {
-                if self.keys[idx] == Some(*key) {
-                    return Some(idx);
+            let b = self.bucket_index(way, self.way_bucket(fp, way));
+            let bucket = &self.buckets[b];
+            for s in 0..SLOTS_PER_BUCKET {
+                if bucket.keys[s] == Some(*key) {
+                    return Some(b * SLOTS_PER_BUCKET + s);
                 }
             }
         }
         None
     }
 
+    /// Expiry of the (occupied) slot at `idx`.
+    #[inline]
+    fn expires_at(&self, idx: usize) -> SimTime {
+        let (bucket, s) = self.slot(idx);
+        bucket.expires[s]
+    }
+
+    /// Value of the (occupied) slot at `idx`.
+    #[inline]
+    fn value_at(&self, idx: usize) -> &V {
+        let (bucket, s) = self.slot(idx);
+        bucket.values[s].as_ref().expect("occupied slot lost its value")
+    }
+
     /// Liveness of the (occupied) slot at `idx`, routed through the
     /// shared [`Aged::is_live`] boundary predicate.
     #[inline]
     fn slot_live(&self, idx: usize, now: SimTime) -> bool {
-        Aged { value: (), expires: self.expires[idx] }.is_live(now)
+        Aged { value: (), expires: self.expires_at(idx) }.is_live(now)
     }
 
-    /// Empty the slot and strand its wheel entries.
-    fn vacate(&mut self, idx: usize) {
-        debug_assert!(self.keys[idx].is_some());
-        self.keys[idx] = None;
-        self.values[idx] = None;
+    /// Empty the slot, returning its entry, and strand its wheel
+    /// entries.
+    fn vacate(&mut self, idx: usize) -> (K, V) {
+        let (bucket, s) = self.slot_mut(idx);
+        let key = bucket.keys[s].take().expect("vacated an empty slot");
+        let value = bucket.values[s].take().expect("occupied slot lost its value");
         self.gens[idx] = self.gens[idx].wrapping_add(1);
         self.len -= 1;
+        (key, value)
+    }
+
+    /// Fill slot `idx` with a fresh entry born at `born`, and file its
+    /// expiry with the scrubber.
+    fn fill(&mut self, idx: usize, key: K, value: V, expires: SimTime, born: SimTime) {
+        let (bucket, s) = self.slot_mut(idx);
+        bucket.keys[s] = Some(key);
+        bucket.values[s] = Some(value);
+        bucket.expires[s] = expires;
+        self.born[idx] = born;
+        self.wheel.insert(expires, idx as u32, self.gens[idx]);
     }
 
     /// Record that sim time has reached (at least) `now`.
@@ -404,13 +449,14 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
             if self.gens[idx] != entry.gen {
                 continue; // vacated or re-keyed since filing
             }
-            if self.keys[idx].is_none() {
+            let (bucket, s) = self.slot(idx);
+            if bucket.keys[s].is_none() {
                 continue;
             }
             if self.slot_live(idx, now) {
                 // Deadline was extended after filing: re-file at the
                 // live expiry.
-                self.wheel.insert(self.expires[idx], entry.slot, entry.gen);
+                self.wheel.insert(self.expires_at(idx), entry.slot, entry.gen);
             } else {
                 self.vacate(idx);
                 removed += 1;
@@ -434,10 +480,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         let watermark = self.observed_now;
         self.scrub(watermark);
         if let Some(idx) = self.find(&key) {
-            self.values[idx] = Some(value);
-            self.expires[idx] = expires;
-            self.born[idx] = watermark;
-            self.wheel.insert(expires, idx as u32, self.gens[idx]);
+            self.fill(idx, key, value, expires, watermark);
             return None;
         }
         let fp = mix64(key.fingerprint());
@@ -445,14 +488,14 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         // leftmost way on ties; take its first free slot.
         let mut best: Option<(usize, usize)> = None; // (load, free idx)
         for way in 0..WAYS {
-            let base = self.bucket_base(way, self.way_bucket(fp, way));
+            let b = self.bucket_index(way, self.way_bucket(fp, way));
             let mut load = 0;
             let mut free = None;
-            for idx in base..base + SLOTS_PER_BUCKET {
-                if self.keys[idx].is_some() {
+            for (s, k) in self.buckets[b].keys.iter().enumerate() {
+                if k.is_some() {
                     load += 1;
                 } else if free.is_none() {
-                    free = Some(idx);
+                    free = Some(b * SLOTS_PER_BUCKET + s);
                 }
             }
             if let Some(free_idx) = free {
@@ -473,34 +516,27 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
                 let mut victim = usize::MAX;
                 let mut victim_expires = SimTime(u64::MAX);
                 for way in 0..WAYS {
-                    let base = self.bucket_base(way, self.way_bucket(fp, way));
-                    for idx in base..base + SLOTS_PER_BUCKET {
-                        debug_assert!(self.keys[idx].is_some(), "overflow bucket has hole");
-                        if self.expires[idx] < victim_expires {
-                            victim_expires = self.expires[idx];
-                            victim = idx;
+                    let b = self.bucket_index(way, self.way_bucket(fp, way));
+                    let bucket = &self.buckets[b];
+                    for s in 0..SLOTS_PER_BUCKET {
+                        debug_assert!(bucket.keys[s].is_some(), "overflow bucket has hole");
+                        if bucket.expires[s] < victim_expires {
+                            victim_expires = bucket.expires[s];
+                            victim = b * SLOTS_PER_BUCKET + s;
                         }
                     }
                 }
                 self.evictions += 1;
-                let old_key = self.keys[victim].take().expect("victim vanished");
-                let old_value = self.values[victim].take().expect("victim value vanished");
                 let age = watermark.as_nanos().saturating_sub(self.born[victim].as_nanos());
                 self.stats.victim_age_histogram[TableStats::age_bucket(age)] += 1;
-                self.gens[victim] = self.gens[victim].wrapping_add(1);
-                self.keys[victim] = Some(key);
-                self.values[victim] = Some(value);
-                self.expires[victim] = expires;
-                self.born[victim] = watermark;
-                self.wheel.insert(expires, victim as u32, self.gens[victim]);
-                return Some((old_key, old_value));
+                // Vacating keeps `len` honest; the refill restores it.
+                let old = self.vacate(victim);
+                self.len += 1;
+                self.fill(victim, key, value, expires, watermark);
+                return Some(old);
             }
         };
-        self.keys[idx] = Some(key);
-        self.values[idx] = Some(value);
-        self.expires[idx] = expires;
-        self.born[idx] = watermark;
-        self.wheel.insert(expires, idx as u32, self.gens[idx]);
+        self.fill(idx, key, value, expires, watermark);
         self.stats.occupancy_high_water = self.stats.occupancy_high_water.max(self.len);
         None
     }
@@ -515,7 +551,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
             self.vacate(idx);
             return None;
         }
-        self.values[idx].as_ref()
+        Some(self.value_at(idx))
     }
 
     /// Mutable live value for `key` at `now`.
@@ -526,7 +562,8 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
             self.vacate(idx);
             return None;
         }
-        self.values[idx].as_mut()
+        let (bucket, s) = self.slot_mut(idx);
+        bucket.values[s].as_mut()
     }
 
     /// Peek without removing expired entries (read-only inspection).
@@ -535,18 +572,19 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         if !self.slot_live(idx, now) {
             return None;
         }
-        self.values[idx].as_ref()
+        Some(self.value_at(idx))
     }
 
     /// The full aged entry (value reference + expiry), live at `now`.
-    /// (Returns `Aged<&V>` rather than `&Aged<V>`: the SoA layout has
-    /// no contiguous `Aged` to borrow.)
+    /// (Returns `Aged<&V>` rather than `&Aged<V>`: a bucket keeps its
+    /// slots' values and expiries in separate arrays, so there is no
+    /// contiguous `Aged` to borrow.)
     pub fn peek_aged(&self, key: &K, now: SimTime) -> Option<Aged<&V>> {
         let idx = self.find(key)?;
         if !self.slot_live(idx, now) {
             return None;
         }
-        self.values[idx].as_ref().map(|v| Aged { value: v, expires: self.expires[idx] })
+        Some(Aged { value: self.value_at(idx), expires: self.expires_at(idx) })
     }
 
     /// Extend the expiry of `key` to `expires` if present and live;
@@ -557,7 +595,8 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         self.observe(now);
         let Some(idx) = self.find(key) else { return false };
         if self.slot_live(idx, now) {
-            self.expires[idx] = self.expires[idx].max(expires);
+            let (bucket, s) = self.slot_mut(idx);
+            bucket.expires[s] = bucket.expires[s].max(expires);
             true
         } else {
             self.vacate(idx);
@@ -569,11 +608,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// not).
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let idx = self.find(key)?;
-        self.keys[idx] = None;
-        let value = self.values[idx].take().expect("find returned empty slot");
-        self.gens[idx] = self.gens[idx].wrapping_add(1);
-        self.len -= 1;
-        Some(value)
+        Some(self.vacate(idx).1)
     }
 
     /// Drop every entry for which `pred` fails (live ones included) —
@@ -581,10 +616,10 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// slots in physical slot order, not key order (divergence from the
     /// oracle; observable only through `pred`'s side effects).
     pub fn retain<F: FnMut(&K, &V) -> bool>(&mut self, mut pred: F) {
-        for idx in 0..self.keys.len() {
-            if let Some(key) = self.keys[idx] {
-                let value = self.values[idx].as_ref().expect("occupied slot lost its value");
-                if !pred(&key, value) {
+        for idx in 0..self.capacity() {
+            let (bucket, s) = self.slot(idx);
+            if let Some(key) = &bucket.keys[s] {
+                if !pred(key, self.value_at(idx)) {
                     self.vacate(idx);
                 }
             }
@@ -600,8 +635,9 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
 
     /// Remove everything. The geometry (and slot generations) survive.
     pub fn clear(&mut self) {
-        for idx in 0..self.keys.len() {
-            if self.keys[idx].is_some() {
+        for idx in 0..self.capacity() {
+            let (bucket, s) = self.slot(idx);
+            if bucket.keys[s].is_some() {
                 self.vacate(idx);
             }
         }
@@ -611,13 +647,11 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// Iterate live entries at `now`, in key order (collected and
     /// sorted — reporting path, not the hot path).
     pub fn iter_live(&self, now: SimTime) -> impl Iterator<Item = (&K, &V)> {
-        let mut live: Vec<(&K, &V)> = (0..self.keys.len())
-            .filter(|&idx| self.keys[idx].is_some() && self.slot_live(idx, now))
-            .map(|idx| {
-                (
-                    self.keys[idx].as_ref().expect("occupancy checked"),
-                    self.values[idx].as_ref().expect("occupied slot lost its value"),
-                )
+        let mut live: Vec<(&K, &V)> = (0..self.capacity())
+            .filter_map(|idx| {
+                let (bucket, s) = self.slot(idx);
+                let key = bucket.keys[s].as_ref()?;
+                self.slot_live(idx, now).then(|| (key, self.value_at(idx)))
             })
             .collect();
         live.sort_unstable_by(|a, b| a.0.cmp(b.0));
@@ -818,30 +852,6 @@ mod tests {
         m.insert(7u32, 7, t(2_000));
         assert_eq!(m.peek(&7, t(1_500)), Some(&7));
         assert_eq!(m.sweep(t(3_000)), 1, "stale pre-clear wheel entries must not miscount");
-    }
-
-    #[test]
-    fn soa_heap_bytes_beat_the_aos_layout() {
-        // The PR 10 footprint claim at E12 geometry: the SoA planes
-        // must cost less than the old array-of-structs slots would on
-        // the same table, and the figure must scale with geometry, not
-        // with how many entries happen to be live.
-        let m: DLeftTable<MacAddr, u32> = DLeftTable::with_bucket_bits(bucket_bits_for(16_384));
-        assert!(
-            m.heap_bytes() < m.heap_bytes_aos_equivalent(),
-            "SoA {} >= AoS {}",
-            m.heap_bytes(),
-            m.heap_bytes_aos_equivalent()
-        );
-        let empty: DLeftTable<MacAddr, u32> = DLeftTable::new();
-        assert!(m.heap_bytes() > empty.heap_bytes(), "footprint follows geometry");
-        let mut filled = DLeftTable::with_bucket_bits(bucket_bits_for(16_384));
-        let before = filled.heap_bytes();
-        for i in 0..1024u32 {
-            filled.insert(MacAddr::from_index(1, i), i, t(1_000_000));
-        }
-        // Wheel buckets grow, but the plane cost is fixed at build.
-        assert!(filled.heap_bytes() >= before);
     }
 
     #[test]

@@ -48,6 +48,9 @@ pub enum DropReason {
     RepairPending,
 }
 
+/// Number of [`DropReason`]s (the last variant's index plus one).
+const DROP_REASONS: usize = DropReason::RepairPending as usize + 1;
+
 /// Decision-plane counters, kept by the logic itself.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SwitchCounters {
@@ -57,9 +60,10 @@ pub struct SwitchCounters {
     pub flooded: u64,
     /// Frames consumed by the control plane (BPDUs, path control).
     pub consumed: u64,
-    /// Drops, tallied by reason (sorted Vec keyed by reason for
-    /// deterministic reporting; tiny cardinality).
-    pub drops: Vec<(DropReason, u64)>,
+    /// Drops, tallied by reason: one fixed counter per
+    /// [`DropReason`], indexed by the reason — no allocation and no
+    /// search on the race-loss hot path.
+    drops: [u64; DROP_REASONS],
     /// Frames that took the software slow path.
     pub slow_path: u64,
 }
@@ -67,20 +71,17 @@ pub struct SwitchCounters {
 impl SwitchCounters {
     /// Increment the drop counter for `reason`.
     pub fn drop_frame(&mut self, reason: DropReason) {
-        match self.drops.binary_search_by_key(&reason, |&(r, _)| r) {
-            Ok(i) => self.drops[i].1 += 1,
-            Err(i) => self.drops.insert(i, (reason, 1)),
-        }
+        self.drops[reason as usize] += 1;
     }
 
     /// The count for `reason`.
     pub fn dropped(&self, reason: DropReason) -> u64 {
-        self.drops.binary_search_by_key(&reason, |&(r, _)| r).map(|i| self.drops[i].1).unwrap_or(0)
+        self.drops[reason as usize]
     }
 
     /// Total drops across reasons.
     pub fn total_dropped(&self) -> u64 {
-        self.drops.iter().map(|&(_, n)| n).sum()
+        self.drops.iter().sum()
     }
 }
 
@@ -209,6 +210,10 @@ mod tests {
         assert_eq!(c.dropped(DropReason::NoPath), 1);
         assert_eq!(c.dropped(DropReason::PortBlocked), 0);
         assert_eq!(c.total_dropped(), 3);
+        // The last reason has a counter of its own too.
+        c.drop_frame(DropReason::RepairPending);
+        assert_eq!(c.dropped(DropReason::RepairPending), 1);
+        assert_eq!(c.total_dropped(), 4);
     }
 
     #[test]

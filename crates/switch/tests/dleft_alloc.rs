@@ -98,12 +98,12 @@ fn steady_state_lookup_path_is_allocation_free() {
 
 #[test]
 fn soa_vacate_and_accounting_paths_are_allocation_free() {
-    // PR 10's SoA repack must not sneak allocations into paths the AoS
-    // layout ran flat: `peek_aged` now builds its `Aged<&V>` on the
-    // stack (there is no contiguous Aged to borrow), lazy-expiry
-    // vacates on `get` clear two plane cells, `remove` takes from the
-    // value plane, and the `heap_bytes()` accounting walk only reads
-    // capacities.
+    // The bucket layout must not sneak allocations into these paths:
+    // `peek_aged` builds its `Aged<&V>` on the stack (there is no
+    // contiguous Aged to borrow), lazy-expiry vacates on `get` clear a
+    // bucket's key and value cells and bump the cold generation plane,
+    // `remove` takes the value out of its bucket, and the
+    // `heap_bytes()` accounting walk only reads capacities.
     const N: u32 = 2_000;
     let mut table: DLeftTable<MacAddr, u32> = DLeftTable::with_bucket_bits(10);
     let mut now = SimTime::ZERO;

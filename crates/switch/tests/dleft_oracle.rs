@@ -69,7 +69,8 @@ proptest! {
                 }
                 Op::Peek { key } => {
                     prop_assert_eq!(oracle.peek(&key, now), dleft.peek(&key, now));
-                    // The d-left table returns Aged<&V> (SoA layout has
+                    // The d-left table returns Aged<&V> (a bucket keeps
+                    // values and expiries in separate arrays, so there is
                     // no contiguous Aged to borrow); reshape the
                     // oracle's &Aged<V> to match.
                     prop_assert_eq!(
